@@ -33,12 +33,10 @@ from .certificates import (
     LedgerEntry,
     LedgerError,
     NonContainmentCertificate,
-    NumericType,
     PairStatus,
     PairVerdict,
     Rule,
     StatusKind,
-    classify_numeric_type,
     divisor_noncontainment,
     genus_report,
     load_ledger,

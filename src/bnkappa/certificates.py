@@ -22,11 +22,15 @@ to published facts:
                        published non-containments, each entry with its
                        citation.
 
-Certificates are tried in exactly that order, so reports are deterministic.
-Absence of a certificate never asserts containment: the pair is Open.
+Each rule is written once, as a derive function in the ordered table
+_RULES; pair_status walks the table in exactly that order, so reports are
+deterministic.  Absence of a certificate never asserts containment: the pair
+is Open.
 
-Every certificate carries a witness and can be re-verified from scratch via
-NonContainmentCertificate.verify().
+Every certificate carries a witness.  NonContainmentCertificate.verify()
+re-runs the same rule's derive function on the pair and accepts only an
+exact match with the stored witness, so a tampered, missing or extra
+witness field fails.
 """
 
 from __future__ import annotations
@@ -39,13 +43,12 @@ from typing import Mapping, Optional, Union
 
 from . import bn_core
 from .bn_core import BNLocus
-from .errors import DomainError, InternalError
+from .errors import DomainError
 from .exact_arith import ceil_2sqrt
 from .maximal_loci import MaximalLocusRecord, enumerate_expected_maximal
 
 __all__ = [
     "Rule",
-    "NumericType",
     "StatusKind",
     "NonContainmentCertificate",
     "PairStatus",
@@ -58,7 +61,6 @@ __all__ = [
     "noncontainment_by_kappa",
     "noncontainment_by_dimension",
     "divisor_noncontainment",
-    "classify_numeric_type",
     "pair_status",
     "genus_report",
 ]
@@ -70,12 +72,6 @@ class Rule(Enum):
     DIVISOR_CRITERION = "divisor-criterion"
     EQUIDIMENSIONAL_FLIP = "equidimensional-flip"
     EXTERNAL = "external"
-
-
-class NumericType(Enum):
-    IDENTICAL = "identical"
-    SERRE_DUAL = "serre-dual"
-    DISTINCT_INVARIANTS = "distinct-invariants"
 
 
 class StatusKind(Enum):
@@ -98,51 +94,13 @@ class NonContainmentCertificate:
     witness: Mapping[str, object] = field(default_factory=dict)
 
     def verify(self, ledger: Optional["Ledger"] = None) -> bool:
-        """Recompute the claim from the witness fields alone."""
+        """Re-derive this rule for the pair and require the identical witness."""
         try:
-            return self._verify(ledger)
-        except (DomainError, KeyError, TypeError):
+            _require_admissible_pair(self.source, self.target, "verify")
+            derived = _RULES[self.rule](self.source, self.target, ledger)
+        except DomainError:
             return False
-
-    def _verify(self, ledger: Optional["Ledger"]) -> bool:
-        s, t = self.source, self.target
-        if s.g != t.g:
-            return False
-        w = self.witness
-        if self.rule is Rule.KAPPA_GAP:
-            ks = bn_core.kappa(s.g, s.r, s.d).value
-            kt = bn_core.kappa(t.g, t.r, t.d).value
-            return ks == w["kappa_source"] and kt == w["kappa_target"] and ks > kt
-        if self.rule is Rule.DIMENSION:
-            rs, rt = s.rho(), t.rho()
-            return (
-                rs == w["rho_source"]
-                and rt == w["rho_target"]
-                and -rs < -rt <= 3
-                and rs < 0
-            )
-        if self.rule is Rule.DIVISOR_CRITERION:
-            gap = ceil_2sqrt(-s.rho()) - 2
-            return (
-                t.rho() == -1
-                and s.rho() < 0
-                and s.r >= 2
-                and s.g + 1 <= s.d // s.r + s.d
-                and t.gamma() == w["gamma_target"]
-                and s.gamma() == w["gamma_source"]
-                and t.gamma() > s.gamma() + gap
-            )
-        if self.rule is Rule.EQUIDIMENSIONAL_FLIP:
-            if s.rho() != -1 or t.rho() != -1 or s == t:
-                return False
-            reverse = _derive_certificate(t, s, ledger, allow_flip=False)
-            return reverse is not None and reverse.rule.value == w["reverse_rule"]
-        if self.rule is Rule.EXTERNAL:
-            if ledger is None:
-                return False
-            cite = ledger.lookup(s, t)
-            return cite is not None and cite == w["cite"]
-        return False
+        return derived == dict(self.witness)
 
 
 @dataclass(frozen=True)
@@ -280,50 +238,29 @@ def _require_admissible_pair(source: BNLocus, target: BNLocus, op: str) -> None:
         raise DomainError(f"{op} requires both loci to have rho < 0")
 
 
-def noncontainment_by_kappa(
-    source: BNLocus, target: BNLocus
-) -> Optional[NonContainmentCertificate]:
-    """KAPPA_GAP certificate when kappa(source) > kappa(target), else None."""
-    _require_admissible_pair(source, target, "noncontainment_by_kappa")
+# ---------------------------------------------------------------------------
+# the rules: each maps (source, target, ledger) to a witness, or None when the
+# rule does not apply; a DomainError means its hypotheses fail for the pair
+
+
+Witness = dict[str, object]
+
+
+def _kappa_gap(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Optional[Witness]:
     try:
         ks = bn_core.kappa(source.g, source.r, source.d).value
         kt = bn_core.kappa(target.g, target.r, target.d).value
     except DomainError:
         return None  # kappa undefined for one side; the rule cannot apply
-    if ks > kt:
-        return NonContainmentCertificate(
-            source, target, Rule.KAPPA_GAP, {"kappa_source": ks, "kappa_target": kt}
-        )
-    return None
+    return {"kappa_source": ks, "kappa_target": kt} if ks > kt else None
 
 
-def noncontainment_by_dimension(
-    source: BNLocus, target: BNLocus
-) -> Optional[NonContainmentCertificate]:
-    """DIMENSION certificate when -rho(source) < -rho(target) <= 3, else None.
-
-    Exact codimension is only known for -3 <= rho <= -1, hence the cap on
-    the target side; the source side needs only the general upper bound.
-    """
-    _require_admissible_pair(source, target, "noncontainment_by_dimension")
+def _dimension(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Optional[Witness]:
     rs, rt = source.rho(), target.rho()
-    if -rs < -rt <= 3:
-        return NonContainmentCertificate(
-            source, target, Rule.DIMENSION, {"rho_source": rs, "rho_target": rt}
-        )
-    return None
+    return {"rho_source": rs, "rho_target": rt} if -rs < -rt <= 3 else None
 
 
-def divisor_noncontainment(
-    source: BNLocus, target: BNLocus
-) -> Optional[NonContainmentCertificate]:
-    """DIVISOR_CRITERION certificate for a target with rho = -1, else None.
-
-    Requires gamma(target) > gamma(source) + ceil(2*sqrt(-rho(source))) - 2
-    together with g + 1 <= floor(d/r) + d for the source and source rank
-    >= 2 (rank-1 sources are instead handled by the kappa rule).
-    """
-    _require_admissible_pair(source, target, "divisor_noncontainment")
+def _divisor(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Optional[Witness]:
     if target.rho() != -1:
         raise DomainError(
             f"divisor_noncontainment requires rho(target) = -1, got {target.rho()}"
@@ -334,72 +271,91 @@ def divisor_noncontainment(
         return None
     gap = ceil_2sqrt(-source.rho()) - 2
     if target.gamma() > source.gamma() + gap:
-        return NonContainmentCertificate(
-            source,
-            target,
-            Rule.DIVISOR_CRITERION,
-            {
-                "gamma_source": source.gamma(),
-                "gamma_target": target.gamma(),
-                "clifford_gap": gap,
-            },
-        )
+        return {
+            "gamma_source": source.gamma(),
+            "gamma_target": target.gamma(),
+            "clifford_gap": gap,
+        }
     return None
 
 
-def classify_numeric_type(a: BNLocus, b: BNLocus) -> NumericType:
-    """Identical, Serre-dual, or genuinely distinct numerics.
+def _flip(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Optional[Witness]:
+    if source.rho() != -1 or target.rho() != -1 or source == target:
+        return None
+    reverse = _derive_certificate(target, source, ledger, skip=Rule.EQUIDIMENSIONAL_FLIP)
+    return None if reverse is None else {"reverse_rule": reverse.rule.value, "rho": -1}
 
-    Whenever rho and gamma both agree the answer is never
-    DISTINCT_INVARIANTS; that case is enforced with an internal check.
-    """
-    if a.g != b.g:
-        raise DomainError(f"classify_numeric_type requires equal genus, got {a.g}, {b.g}")
-    if a == b:
-        return NumericType.IDENTICAL
-    try:
-        if bn_core.serre_dual(a.g, a.r, a.d) == b:
-            return NumericType.SERRE_DUAL
-    except DomainError:
-        pass
-    if a.rho() == b.rho() and a.gamma() == b.gamma():
-        raise InternalError(
-            f"{a} and {b} share rho and gamma but are neither identical nor Serre dual"
-        )
-    return NumericType.DISTINCT_INVARIANTS
+
+def _external(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Optional[Witness]:
+    cite = None if ledger is None else ledger.lookup(source, target)
+    return None if cite is None else {"cite": cite}
+
+
+# Priority order: the first rule that yields a witness certifies the pair.
+_RULES = {
+    Rule.KAPPA_GAP: _kappa_gap,
+    Rule.DIMENSION: _dimension,
+    Rule.DIVISOR_CRITERION: _divisor,
+    Rule.EQUIDIMENSIONAL_FLIP: _flip,
+    Rule.EXTERNAL: _external,
+}
 
 
 def _derive_certificate(
     source: BNLocus,
     target: BNLocus,
     ledger: Optional[Ledger],
-    allow_flip: bool = True,
+    skip: Optional[Rule] = None,
 ) -> Optional[NonContainmentCertificate]:
-    cert = noncontainment_by_kappa(source, target)
-    if cert is None:
-        cert = noncontainment_by_dimension(source, target)
-    if cert is None and target.rho() == -1:
-        cert = divisor_noncontainment(source, target)
-    if (
-        cert is None
-        and allow_flip
-        and source.rho() == -1
-        and target.rho() == -1
-        and source != target
-    ):
-        reverse = _derive_certificate(target, source, ledger, allow_flip=False)
-        if reverse is not None:
-            cert = NonContainmentCertificate(
-                source,
-                target,
-                Rule.EQUIDIMENSIONAL_FLIP,
-                {"reverse_rule": reverse.rule.value, "rho": -1},
-            )
-    if cert is None and ledger is not None:
-        cite = ledger.lookup(source, target)
-        if cite is not None:
-            cert = NonContainmentCertificate(source, target, Rule.EXTERNAL, {"cite": cite})
-    return cert
+    for rule, derive in _RULES.items():
+        if rule is skip:
+            continue
+        try:
+            witness = derive(source, target, ledger)
+        except DomainError:
+            continue
+        if witness is not None:
+            return NonContainmentCertificate(source, target, rule, witness)
+    return None
+
+
+def _certify(
+    rule: Rule, source: BNLocus, target: BNLocus, op: str
+) -> Optional[NonContainmentCertificate]:
+    _require_admissible_pair(source, target, op)
+    witness = _RULES[rule](source, target, None)
+    return None if witness is None else NonContainmentCertificate(source, target, rule, witness)
+
+
+def noncontainment_by_kappa(
+    source: BNLocus, target: BNLocus
+) -> Optional[NonContainmentCertificate]:
+    """KAPPA_GAP certificate when kappa(source) > kappa(target), else None."""
+    return _certify(Rule.KAPPA_GAP, source, target, "noncontainment_by_kappa")
+
+
+def noncontainment_by_dimension(
+    source: BNLocus, target: BNLocus
+) -> Optional[NonContainmentCertificate]:
+    """DIMENSION certificate when -rho(source) < -rho(target) <= 3, else None.
+
+    Exact codimension is only known for -3 <= rho <= -1, hence the cap on
+    the target side; the source side needs only the general upper bound.
+    """
+    return _certify(Rule.DIMENSION, source, target, "noncontainment_by_dimension")
+
+
+def divisor_noncontainment(
+    source: BNLocus, target: BNLocus
+) -> Optional[NonContainmentCertificate]:
+    """DIVISOR_CRITERION certificate for a target with rho = -1, else None.
+
+    Requires gamma(target) > gamma(source) + ceil(2*sqrt(-rho(source))) - 2
+    together with g + 1 <= floor(d/r) + d for the source and source rank
+    >= 2 (rank-1 sources are instead handled by the kappa rule).  Raises
+    DomainError when rho(target) != -1.
+    """
+    return _certify(Rule.DIVISOR_CRITERION, source, target, "divisor_noncontainment")
 
 
 def pair_status(

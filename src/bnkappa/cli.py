@@ -6,10 +6,13 @@ exceptional), pairwise queries (check) and the built-in selftest.
 
 Exit codes: 0 success, 1 usage or I/O error (including a malformed ledger),
 2 domain error (inputs outside a function's mathematical domain), 3 internal
-inconsistency (a cross-check that can only fail on a bug).
+inconsistency (a cross-check that can only fail on a bug, or a selftest suite
+that failed a check or ran none).
 
-Output formats: `table` (human-readable, default), `json` (one document:
-{"command", "inputs", "result"}), `csv` (RFC 4180, header row included).
+Output formats, chosen with --format on every command except `figure`
+(always CSV) and `selftest` (always text): `table` (human-readable,
+default), `json` (one document: {"command", "inputs", "result"}), `csv`
+(RFC 4180, header row included).
 Approximate floating-point columns are suffixed `_approx` and carry four
 fractional digits; every other figure is exact.
 """
@@ -369,10 +372,11 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name: str, func, help_: str) -> _Parser:
+    def add(name: str, func, help_: str, formats: bool = True) -> _Parser:
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=func)
-        p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+        if formats:
+            p.add_argument("--format", choices=("table", "json", "csv"), default="table")
         return p
 
     p = add("rho", _cmd_rho, "Brill-Noether number g - (r+1)(g-d+r)")
@@ -417,11 +421,13 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s-range", choices=("maximal", "paper", "lemma"), default="maximal")
 
-    p = add("figure", _cmd_figure, "per-rank CSV of d_max, rho, kappa and bounds")
+    p = add(
+        "figure", _cmd_figure, "per-rank CSV of d_max, rho, kappa and bounds", formats=False
+    )
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")
 
-    p = add("selftest", _cmd_selftest, "run built-in consistency suites")
+    p = add("selftest", _cmd_selftest, "run built-in consistency suites", formats=False)
     p.add_argument("--gmax", type=int, default=60)
 
     return parser

@@ -249,37 +249,30 @@ def ineq_holds_all_s(g: int, r: int, s_range: SRange = SRange.MAXIMAL) -> bool:
 
 
 def min_genus_for_rank(r: int) -> int:
-    """Smallest genus at which rank r admits an expected maximal locus."""
+    """Smallest genus at which rank r admits an expected maximal locus.
+
+    r_max_expected(g) >= r exactly when g >= r(r+1), and genera start at 3.
+    """
     if r < 1:
         raise DomainError(f"min_genus_for_rank requires r >= 1, got {r}")
-    g = 3
-    while r_max_expected(g) < r:
-        g += 1
-    return g
+    return max(3, r * (r + 1))
 
 
 def compute_G(r: int, s_range: SRange = SRange.MAXIMAL) -> int:
     """Smallest genus past which the kappa inequality holds for rank r.
 
-    Scans every genus from the first where rank r is expected maximal up to
-    the exact genus threshold (beyond which the inequality is guaranteed);
-    returns 1 + the largest failing genus, or the scan start if none fail.
+    One more than the largest exceptional genus, or the first genus where
+    rank r is expected maximal if there is none.
     """
-    if r < 2:
-        raise DomainError(f"compute_G requires r >= 2, got {r}")
-    start = min_genus_for_rank(r)
-    worst = None
-    for g in range(start, genus_threshold_min(r) + 1):
-        if not ineq_holds_all_s(g, r, s_range):
-            worst = g
-    return start if worst is None else worst + 1
+    genera = exceptional_genera(r, s_range)
+    return genera[-1] + 1 if genera else min_genus_for_rank(r)
 
 
 def exceptional_genera(r: int, s_range: SRange = SRange.MAXIMAL) -> list[int]:
     """All genera where the kappa inequality fails for rank r, in order.
 
-    These are exactly the g < compute_G(r, s_range) in the scan range with
-    ineq_holds_all_s false.
+    Scans every genus from the first where rank r is expected maximal up to
+    the exact genus threshold, beyond which the inequality is guaranteed.
     """
     if r < 2:
         raise DomainError(f"exceptional_genera requires r >= 2, got {r}")

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 
 from . import bn_core, maximal_loci
-from .errors import InternalError
 from .exact_arith import floor_neg_2sqrt, isqrt, surd_sign
 
 
@@ -50,25 +49,26 @@ def suite_exact_arithmetic() -> SuiteResult:
         ca = a if a * a == 4 * n else a + 1
         cb = b if b * b == 4 * n - 1 else b + 1
         res.check(ca == cb, f"ceil(sqrt(4n)) != ceil(sqrt(4n-1)) at n={n}")
-    getcontext().prec = 60
-    rng = random.Random(20260815)
-    for _ in range(2_000):
-        a = rng.randint(-(10**6), 10**6)
-        b = rng.randint(-(10**6), 10**6)
-        m = rng.randint(0, 10**3)
-        numeric = Decimal(a) + Decimal(b) * Decimal(m).sqrt()
-        if abs(numeric) < Decimal("1e-30"):
-            # exact zero: cross-multiplied magnitudes agree and signs oppose
+    with localcontext() as ctx:
+        ctx.prec = 60
+        rng = random.Random(20260815)
+        for _ in range(2_000):
+            a = rng.randint(-(10**6), 10**6)
+            b = rng.randint(-(10**6), 10**6)
+            m = rng.randint(0, 10**3)
+            numeric = Decimal(a) + Decimal(b) * Decimal(m).sqrt()
+            if abs(numeric) < Decimal("1e-30"):
+                # exact zero: cross-multiplied magnitudes agree and signs oppose
+                res.check(
+                    a * a == b * b * m and a * b <= 0 and surd_sign(a, b, m) == 0,
+                    f"zero surd misclassified at ({a},{b},{m})",
+                )
+                continue
+            want = 1 if numeric > 0 else -1
             res.check(
-                a * a == b * b * m and a * b <= 0 and surd_sign(a, b, m) == 0,
-                f"zero surd misclassified at ({a},{b},{m})",
+                surd_sign(a, b, m) == want,
+                f"surd_sign({a},{b},{m}) != numeric sign {want}",
             )
-            continue
-        want = 1 if numeric > 0 else -1
-        res.check(
-            surd_sign(a, b, m) == want,
-            f"surd_sign({a},{b},{m}) != numeric sign {want}",
-        )
     return res
 
 
@@ -156,12 +156,16 @@ def run_all(gmax: int = 60) -> list[SuiteResult]:
 
 
 def render(results: list[SuiteResult]) -> tuple[str, bool]:
-    """Human-readable summary and overall pass flag."""
+    """Human-readable summary and overall pass flag.
+
+    A suite passes only if it ran at least one check and none failed.
+    """
     lines = []
     ok = True
     for r in results:
-        status = "PASS" if r.failed == 0 else "FAIL"
-        ok = ok and r.failed == 0
+        passed = r.passed > 0 and r.failed == 0
+        status = "PASS" if passed else "FAIL"
+        ok = ok and passed
         lines.append(f"{status}  {r.name}: {r.passed} passed, {r.failed} failed")
         lines.extend(f"      {msg}" for msg in r.failures)
     total_pass = sum(r.passed for r in results)
@@ -169,10 +173,3 @@ def render(results: list[SuiteResult]) -> tuple[str, bool]:
     lines.append(f"total: {total_pass} passed, {total_fail} failed")
     return "\n".join(lines), ok
 
-
-def assert_all(gmax: int = 30) -> None:
-    """Raise InternalError if any suite fails (used by library callers)."""
-    results = run_all(gmax)
-    bad = [r for r in results if r.failed]
-    if bad:
-        raise InternalError("; ".join(f"{r.name}: {r.failures[:1]}" for r in bad))

@@ -214,6 +214,21 @@ def test_serre_dual_rejects_out_of_range():
         serre_dual(20, 1, 40)  # dual degree would be negative
 
 
+def test_equal_rho_and_gamma_means_identical_or_serre_dual():
+    # rho and the Clifford index pin a locus down up to Serre duality
+    for g in range(3, 41):
+        groups = {}
+        for r in range(0, g + 1):
+            for d in range(0, 2 * g - 1):
+                key = (rho(g, r, d), clifford_index(r, d))
+                groups.setdefault(key, []).append(BNLocus(g, r, d))
+        for members in groups.values():
+            for a in members:
+                for b in members:
+                    if a != b:
+                        assert serre_dual(a.g, a.r, a.d) == b, (a, b)
+
+
 def test_serre_invariance_of_rho_gamma_rhok():
     # tested, not assumed: any counterexample here is a finding
     for g in range(3, 31):

@@ -10,10 +10,8 @@ from bnkappa.certificates import (
     LedgerEntry,
     LedgerError,
     NonContainmentCertificate,
-    NumericType,
     Rule,
     StatusKind,
-    classify_numeric_type,
     divisor_noncontainment,
     genus_report,
     load_ledger,
@@ -93,38 +91,6 @@ def test_rules_reject_inadmissible_pairs():
             fn(BNLocus(20, 3, 17), BNLocus(21, 2, 15))  # genus mismatch
         with pytest.raises(DomainError):
             fn(BNLocus(20, 1, 12), BNLocus(20, 2, 15))  # rho(source) >= 0
-
-
-# ---------------------------------------------------------------------------
-# numeric classification
-
-
-def test_classify_numeric_type_frozen():
-    a = BNLocus(20, 3, 17)
-    assert classify_numeric_type(a, a) is NumericType.IDENTICAL
-    assert classify_numeric_type(a, BNLocus(20, 5, 21)) is NumericType.SERRE_DUAL
-    assert classify_numeric_type(BNLocus(20, 5, 21), a) is NumericType.SERRE_DUAL
-    assert classify_numeric_type(a, BNLocus(20, 4, 19)) is NumericType.DISTINCT_INVARIANTS
-    assert classify_numeric_type(BNLocus(4, 1, 3), BNLocus(4, 1, 3)) is NumericType.IDENTICAL
-    with pytest.raises(DomainError):
-        classify_numeric_type(a, BNLocus(21, 3, 17))
-
-
-def test_equal_invariants_never_classify_as_distinct():
-    # any pair sharing rho and gamma must be identical or Serre dual;
-    # classify_numeric_type raises InternalError otherwise, so surviving the
-    # sweep is the assertion
-    for g in range(3, 41):
-        groups = {}
-        for r in range(0, g + 1):
-            for d in range(0, 2 * g - 1):
-                key = (rho(g, r, d), clifford_index(r, d))
-                groups.setdefault(key, []).append(BNLocus(g, r, d))
-        for members in groups.values():
-            for a in members:
-                for b in members:
-                    got = classify_numeric_type(a, b)
-                    assert got in (NumericType.IDENTICAL, NumericType.SERRE_DUAL)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +292,23 @@ def test_corrupted_witnesses_fail_verification(ledger):
         good.source, good.target, Rule.KAPPA_GAP, {"kappa_source": 6}
     )
     assert not missing_field.verify()
+
+    extra_field = NonContainmentCertificate(
+        good.source, good.target, Rule.KAPPA_GAP, {**good.witness, "note": "extra"}
+    )
+    assert not extra_field.verify()
+
+    div = divisor_noncontainment(BNLocus(31, 2, 22), BNLocus(31, 3, 26))
+    wrong_gap = NonContainmentCertificate(
+        div.source, div.target, div.rule, {**div.witness, "clifford_gap": 999}
+    )
+    assert div.verify() and not wrong_gap.verify()
+
+    flip = pair_status(BNLocus(11, 2, 9), BNLocus(11, 1, 6)).certificate
+    wrong_rho = NonContainmentCertificate(
+        flip.source, flip.target, flip.rule, {**flip.witness, "rho": -7}
+    )
+    assert flip.verify() and not wrong_rho.verify()
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,20 @@ def test_selftest_small_passes(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_selftest_suite_without_checks_fails(capsys):
+    # no genus in 4..5 yields a certificate, so that suite runs nothing
+    code, out, _ = run(capsys, "selftest", "--gmax", "5")
+    assert code == 3
+    assert "FAIL  certificate-reverification: 0 passed, 0 failed" in out
+
+
+@pytest.mark.parametrize("argv", [("selftest", "--gmax", "10"), ("figure", "--g", "20")])
+def test_format_rejected_where_output_is_fixed(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 1 and out == ""
+    assert "--format" in err
+
+
 def test_selftest_detects_injected_fault(capsys, monkeypatch):
     monkeypatch.setattr("bnkappa.maximal_loci.kappa_at_dmax", lambda g, r: 0)
     code, out, _ = run(capsys, "selftest", "--gmax", "10")

@@ -222,6 +222,16 @@ def test_min_genus_for_rank_frozen():
     }
 
 
+def test_min_genus_for_rank_matches_scan():
+    # the closed form r(r+1) against the first genus whose r_max_expected
+    # reaches r, found by walking up from genus 3
+    g = 3
+    for r in range(1, 201):
+        while r_max_expected(g) < r:
+            g += 1
+        assert min_genus_for_rank(r) == g, r
+
+
 def test_compute_G_frozen_and_range_independent():
     for s_range in SRange:
         assert {r: compute_G(r, s_range) for r in range(2, 11)} == G_TABLE, s_range
