@@ -124,11 +124,17 @@ def rho_pflueger(g: int, r: int, d: int, k: int) -> int:
 
 
 def kappa_brute(g: int, r: int, d: int) -> KappaResult:
-    """Gonality invariant by direct scan: the largest k with rho_k >= 0.
+    """Gonality invariant from the definition: the largest k with rho_k >= 0.
 
-    Scans every k from 2 up to the general gonality floor((g+3)/2) rather
-    than assuming monotonicity.  Requires rho < 0 (otherwise kappa is
-    undefined), d - 2r >= 0 and g - d + r >= 1 (otherwise no k qualifies).
+    Bisects over k in [2, floor((g+3)/2)], evaluating rho_pflueger at each
+    probe.  This is sound because every term rho(g, r - l, d) - l*k of rho_k
+    has l >= 0, so rho_k is non-increasing in k and the k with rho_k >= 0
+    form an initial segment of the range.  The cap is probed first (rho_k >= 0
+    there contradicts rho < 0) and then k = 2 (rho_2 < 0 means no k
+    qualifies); both are InternalErrors.  Cost: O(log g) evaluations of
+    rho_k at O(r') each, against O(g) for a scan over every k.
+    Requires rho < 0 (otherwise kappa is undefined), d - 2r >= 0 and
+    g - d + r >= 1 (otherwise no k qualifies).
     """
     rv = rho(g, r, d)
     if rv >= 0:
@@ -138,17 +144,20 @@ def kappa_brute(g: int, r: int, d: int) -> KappaResult:
     if g - d + r < 1:
         raise DomainError(f"kappa_brute requires g - d + r >= 1, got {g - d + r}")
     cap = general_gonality(g)
-    best = None
-    for k in range(2, cap + 1):
-        if rho_pflueger(g, r, d, k) >= 0:
-            best = k
-    if best == cap:
+    if rho_pflueger(g, r, d, cap) >= 0:
         raise InternalError(
             f"rho_k >= 0 at the general gonality k={cap} although rho({g},{r},{d}) < 0"
         )
-    if best is None:
+    if rho_pflueger(g, r, d, 2) < 0:
         raise InternalError(f"no gonality k in [2, {cap}] admits ({g},{r},{d}); expected k=2 to")
-    return KappaResult(best, KappaBranch.BRUTE_FORCE, rv, clifford_index(r, d))
+    lo, hi = 2, cap  # invariant: rho_lo >= 0 > rho_hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if rho_pflueger(g, r, d, mid) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return KappaResult(lo, KappaBranch.BRUTE_FORCE, rv, clifford_index(r, d))
 
 
 def kappa_closed(g: int, r: int, d: int) -> KappaResult:

@@ -4,10 +4,10 @@ Subcommands mirror the library: scalar queries (rho, gamma, rhok, kappa,
 dmax), per-genus summaries (maximal, report, figure), genus scans (gtable,
 exceptional), pairwise queries (check) and the built-in selftest.
 
-Exit codes: 0 success, 1 usage or I/O error (including a malformed ledger),
-2 domain error (inputs outside a function's mathematical domain), 3 internal
-inconsistency (a cross-check that can only fail on a bug, or a selftest suite
-that failed a check or ran none).
+Exit codes: 0 success, 1 usage or I/O error (including a malformed ledger
+and a reader that closed the output pipe), 2 domain error (inputs outside a
+function's mathematical domain), 3 internal inconsistency (a cross-check that
+can only fail on a bug, or a selftest suite that failed a check or ran none).
 
 Output formats, chosen with --format on every command except `figure`
 (always CSV) and `selftest` (always text): `table` (human-readable,
@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -453,7 +454,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: an I/O error.  Python flushes stdout
+        # again at exit, so point it at devnull to keep that flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnkappa import bn_core
 from bnkappa.bn_core import (
     BNLocus,
     KappaBranch,
+    KappaResult,
     clifford_index,
     general_gonality,
     kappa,
@@ -18,7 +20,8 @@ from bnkappa.bn_core import (
     serre_dual,
     trivial_specializations,
 )
-from bnkappa.errors import DomainError
+from bnkappa.errors import DomainError, InternalError
+from bnkappa.maximal_loci import d_max
 
 
 def admissible_triples(gmax, require_range=True):
@@ -141,6 +144,49 @@ def test_kappa_brute_frozen():
     assert kappa_brute(20, 3, 17).value == 6
     assert kappa_brute(20, 4, 19).value == 5
     assert kappa_brute(4, 1, 2).value == 2
+
+
+def brute_domain(gmax):
+    """All (g, r, d) kappa_brute accepts: rho < 0, d >= 2r and g - d + r >= 1."""
+    for g in range(2, gmax + 1):
+        for r in range(1, g):
+            for d in range(2 * r, g + r):
+                if rho(g, r, d) < 0:
+                    yield g, r, d
+
+
+def test_kappa_brute_matches_linear_scan():
+    # the scan over every k is the definition the bisection must reproduce
+    for g, r, d in brute_domain(60):
+        cap = general_gonality(g)
+        scan = max(k for k in range(2, cap + 1) if rho_pflueger(g, r, d, k) >= 0)
+        expected = KappaResult(scan, KappaBranch.BRUTE_FORCE, rho(g, r, d), clifford_index(r, d))
+        assert kappa_brute(g, r, d) == expected, (g, r, d)
+
+
+@pytest.mark.parametrize("rho_k", [0, -1])
+def test_kappa_brute_internal_errors(monkeypatch, rho_k):
+    # rho_k >= 0 at the general gonality, or rho_2 < 0, contradicts the theory
+    monkeypatch.setattr(bn_core, "rho_pflueger", lambda g, r, d, k: rho_k)
+    with pytest.raises(InternalError):
+        kappa_brute(20, 3, 17)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_kappa_brute_logarithmic_at_huge_genus(monkeypatch, r):
+    g = 10**9
+    d = d_max(g, r)
+    calls = []
+    original = bn_core.rho_pflueger
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bn_core, "rho_pflueger", counted)
+    value = kappa_brute(g, r, d).value
+    assert len(calls) <= 2 + general_gonality(g).bit_length()
+    assert value == kappa_closed(g, r, d).value
 
 
 def test_kappa_closed_frozen():

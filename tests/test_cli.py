@@ -68,6 +68,15 @@ def test_kappa_json_structure(capsys):
     assert doc["result"]["brute"]["branch"] == "brute-force"
 
 
+def test_kappa_both_methods_at_huge_genus(capsys):
+    # d = d_max(10**9, 2); the brute route must not scan all ~5*10**8 gonalities
+    code, out, _ = run(capsys, "kappa", "--g", "1000000000", "--r", "2",
+                       "--d", "666666668", "--format", "json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["closed"]["value"] == result["brute"]["value"] == result["value"]
+
+
 def test_kappa_method_mismatch_is_internal_error(capsys, monkeypatch):
     fake = KappaResult(7, KappaBranch.BRUTE_FORCE, -4, 11)
     monkeypatch.setattr("bnkappa.bn_core.kappa_brute", lambda g, r, d: fake)
@@ -361,3 +370,18 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "5\n"
+
+
+def test_closed_output_pipe_exits_1_without_traceback():
+    # report --g 400 prints about 107 KB, more than a 64 KiB pipe buffer holds,
+    # so the writer is still blocked when the reader goes away
+    with subprocess.Popen(
+        [sys.executable, "-m", "bnkappa", "report", "--g", "400", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.read(10) == b'{\n  "comma'
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err

@@ -1,7 +1,7 @@
 """Exact-arithmetic layer: isqrt, the sqrt-floor helpers, and surd signs."""
 
 import random
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given
@@ -90,18 +90,19 @@ def test_surd_sign_against_high_precision_numeric():
     # 10^4 random triples vs a 60-digit Decimal evaluation; exact zeros are
     # recognized by the cross-multiplied condition a^2 = b^2 m with a, b of
     # opposite sign and are asserted separately.
-    getcontext().prec = 60
     rng = random.Random(421731)
-    for _ in range(10_000):
-        a = rng.randint(-(10**6), 10**6)
-        b = rng.randint(-(10**6), 10**6)
-        m = rng.randint(0, 10**3)
-        got = surd_sign(a, b, m)
-        if a * a == b * b * m and a * b <= 0:
-            assert got == 0
-            continue
-        numeric = Decimal(a) + Decimal(b) * Decimal(m).sqrt()
-        assert got == (1 if numeric > 0 else -1), (a, b, m)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for _ in range(10_000):
+            a = rng.randint(-(10**6), 10**6)
+            b = rng.randint(-(10**6), 10**6)
+            m = rng.randint(0, 10**3)
+            got = surd_sign(a, b, m)
+            if a * a == b * b * m and a * b <= 0:
+                assert got == 0
+                continue
+            numeric = Decimal(a) + Decimal(b) * Decimal(m).sqrt()
+            assert got == (1 if numeric > 0 else -1), (a, b, m)
     # exact zeros are rare under random sampling; pin the branch explicitly
     assert surd_sign(-10, 5, 4) == 0
 
