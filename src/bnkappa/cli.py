@@ -6,13 +6,17 @@ exceptional), pairwise queries (check) and the built-in selftest.
 
 Exit codes: 0 success, 1 usage or I/O error (including a malformed ledger
 and a reader that closed the output pipe), 2 domain error (inputs outside a
-function's mathematical domain), 3 internal inconsistency (a cross-check that
-can only fail on a bug, or a selftest suite that failed a check or ran none).
+function's mathematical domain, such as a `check` triple with g < 2), 3
+internal inconsistency (a cross-check that can only fail on a bug, or a
+selftest suite that failed a check or ran none).
 
 Output formats, chosen with --format on every command except `figure`
 (always CSV) and `selftest` (always text): `table` (human-readable,
 default), `json` (one document: {"command", "inputs", "result"}), `csv`
-(RFC 4180, header row included).
+(RFC 4180, header row included).  Each formatted command builds one
+`_Output` and `_emit` renders it: the JSON result of a row-shaped command is
+one object per CSV row, keyed by the CSV headers; `kappa`, `check`,
+`report`, `exceptional` and the scalar commands give their own result shape.
 Approximate floating-point columns are suffixed `_approx` and carry four
 fractional digits; every other figure is exact.
 """
@@ -25,6 +29,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import __version__, bn_core, maximal_loci, selfcheck
@@ -32,12 +37,14 @@ from .bn_core import BNLocus
 from .certificates import (
     Ledger,
     LedgerError,
+    PairStatus,
+    PairVerdict,
     genus_report,
     load_ledger,
     pair_status,
 )
 from .errors import DomainError, InternalError
-from .maximal_loci import SRange
+from .maximal_loci import MaximalLocusRecord, SRange
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,7 +55,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _triple(text: str) -> BNLocus:
+def _triple(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected g,r,d — got {text!r}")
@@ -56,47 +63,62 @@ def _triple(text: str) -> BNLocus:
         g, r, d = (int(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected integers g,r,d — got {text!r}")
-    return BNLocus(g, r, d)
+    return g, r, d
+
+
+class _UsageError(Exception):
+    """Arguments that parse but do not fit together (exit 1)."""
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
 
-def _fmt_approx(x: float) -> str:
-    return f"{x:.4f}"
+@dataclass(frozen=True)
+class _Output:
+    """One command's result, ready for any --format.
+
+    `headers` and `rows` give the CSV and the default table; `doc` is the
+    JSON "result" (one object per row, keyed by `headers`, when None);
+    `text`, when set, replaces the table.
+    """
+
+    headers: Sequence[str]
+    rows: Sequence[Sequence[object]]
+    doc: object = None
+    text: Optional[str] = None
 
 
-def _emit_json(command: str, inputs: dict, result: object) -> None:
-    print(json.dumps({"command": command, "inputs": inputs, "result": result}, indent=2))
-
-
-def _emit_csv(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+def _csv_text(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)  # excel dialect: comma-separated, CRLF line ends
     writer.writerow(headers)
     writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+    return buf.getvalue()
 
 
-def _emit_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    cells = [[str(c) for c in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in cells:
-        for i, c in enumerate(row):
-            widths[i] = max(widths[i], len(c))
-    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
-    for row in cells:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+def _table_text(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    cells = [list(headers)] + [[str(c) for c in row] for row in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells)
 
 
-def _emit_scalar(args: argparse.Namespace, command: str, inputs: dict, value: int) -> None:
+def _emit(args: argparse.Namespace, inputs: dict, out: _Output) -> int:
     if args.format == "json":
-        _emit_json(command, inputs, value)
+        doc = out.doc
+        if doc is None:
+            doc = [dict(zip(out.headers, row)) for row in out.rows]
+        result = {"command": args.command, "inputs": inputs, "result": doc}
+        print(json.dumps(result, indent=2))
     elif args.format == "csv":
-        _emit_csv(["value"], [[value]])
+        sys.stdout.write(_csv_text(out.headers, out.rows))
     else:
-        print(value)
+        print(_table_text(out.headers, out.rows) if out.text is None else out.text)
+    return 0
+
+
+def _scalar(value: int) -> _Output:
+    return _Output(["value"], [[value]], doc=value, text=str(value))
 
 
 def _witness_text(witness) -> str:
@@ -107,34 +129,24 @@ def _witness_text(witness) -> str:
 # commands
 
 
-def _cmd_rho(args) -> int:
-    value = bn_core.rho(args.g, args.r, args.d)
-    _emit_scalar(args, "rho", {"g": args.g, "r": args.r, "d": args.d}, value)
-    return 0
+def _cmd_rho(args) -> tuple[dict, _Output]:
+    inputs = {"g": args.g, "r": args.r, "d": args.d}
+    return inputs, _scalar(bn_core.rho(args.g, args.r, args.d))
 
 
-def _cmd_gamma(args) -> int:
-    value = bn_core.clifford_index(args.r, args.d)
-    _emit_scalar(args, "gamma", {"r": args.r, "d": args.d}, value)
-    return 0
+def _cmd_gamma(args) -> tuple[dict, _Output]:
+    return {"r": args.r, "d": args.d}, _scalar(bn_core.clifford_index(args.r, args.d))
 
 
-def _cmd_rhok(args) -> int:
-    value = bn_core.rho_pflueger(args.g, args.r, args.d, args.k)
-    _emit_scalar(args, "rhok", {"g": args.g, "r": args.r, "d": args.d, "k": args.k}, value)
-    return 0
+def _cmd_rhok(args) -> tuple[dict, _Output]:
+    inputs = {"g": args.g, "r": args.r, "d": args.d, "k": args.k}
+    return inputs, _scalar(bn_core.rho_pflueger(args.g, args.r, args.d, args.k))
 
 
-def _kappa_payload(res: bn_core.KappaResult) -> dict:
-    return {
-        "value": res.value,
-        "branch": res.branch.value,
-        "rho": res.rho,
-        "gamma": res.gamma,
-    }
+_KAPPA_HEADERS = ["method", "value", "branch", "rho", "gamma"]
 
 
-def _cmd_kappa(args) -> int:
+def _cmd_kappa(args) -> tuple[dict, _Output]:
     inputs = {"g": args.g, "r": args.r, "d": args.d, "method": args.method}
     results = {}
     if args.method in ("closed", "both"):
@@ -147,210 +159,136 @@ def _cmd_kappa(args) -> int:
             f"closed={results['closed'].value} brute={results['brute'].value}"
         )
     value = next(iter(results.values())).value
-    if args.format == "json":
-        payload = {name: _kappa_payload(res) for name, res in results.items()}
-        payload["value"] = value
-        _emit_json("kappa", inputs, payload)
-    elif args.format == "csv":
-        _emit_csv(
-            ["method", "value", "branch", "rho", "gamma"],
-            [[m, r.value, r.branch.value, r.rho, r.gamma] for m, r in results.items()],
-        )
-    else:
-        print(value)
-    return 0
+    rows = [[m, r.value, r.branch.value, r.rho, r.gamma] for m, r in results.items()]
+    doc = {row[0]: dict(zip(_KAPPA_HEADERS[1:], row[1:])) for row in rows}
+    doc["value"] = value
+    return inputs, _Output(_KAPPA_HEADERS, rows, doc=doc, text=str(value))
 
 
-def _cmd_dmax(args) -> int:
-    value = maximal_loci.d_max(args.g, args.r)
-    _emit_scalar(args, "dmax", {"g": args.g, "r": args.r}, value)
-    return 0
+def _cmd_dmax(args) -> tuple[dict, _Output]:
+    return {"g": args.g, "r": args.r}, _scalar(maximal_loci.d_max(args.g, args.r))
 
 
-def _maximal_rows(g: int):
-    rows = []
-    for rec in maximal_loci.enumerate_expected_maximal(g):
-        rows.append(
-            [
-                rec.locus.r,
-                rec.locus.d,
-                rec.rho,
-                rec.kappa.value,
-                _fmt_approx(rec.lower_bound.approx()),
-                _fmt_approx(rec.upper_bound.approx()),
-            ]
-        )
-    return rows
+def _maximal_rows(records: Sequence[MaximalLocusRecord]) -> list:
+    return [
+        [rec.locus.r, rec.locus.d, rec.rho, rec.kappa.value,
+         f"{rec.lower_bound.approx():.4f}", f"{rec.upper_bound.approx():.4f}"]
+        for rec in records
+    ]
 
 
 _MAXIMAL_HEADERS = ["r", "d", "rho", "kappa", "lower_bound_approx", "upper_bound_approx"]
 
 
-def _cmd_maximal(args) -> int:
-    rows = _maximal_rows(args.g)
-    if args.format == "json":
-        result = [dict(zip(_MAXIMAL_HEADERS, row)) for row in rows]
-        _emit_json("maximal", {"g": args.g}, result)
-    elif args.format == "csv":
-        _emit_csv(_MAXIMAL_HEADERS, rows)
-    else:
-        _emit_table(_MAXIMAL_HEADERS, rows)
-    return 0
+def _cmd_maximal(args) -> tuple[dict, _Output]:
+    rows = _maximal_rows(maximal_loci.enumerate_expected_maximal(args.g))
+    return {"g": args.g}, _Output(_MAXIMAL_HEADERS, rows)
 
 
 def _load_ledger_arg(args) -> Optional[Ledger]:
-    if getattr(args, "ledger", None) is None:
-        return None
-    return load_ledger(args.ledger)
+    return None if args.ledger is None else load_ledger(args.ledger)
 
 
 _PAIR_HEADERS = ["source_r", "source_d", "target_r", "target_d", "status", "rule", "detail"]
 
 
-def _pair_row(verdict) -> list:
-    cert = verdict.status.certificate
+def _pair_row(verdict: PairVerdict) -> list:
+    source, target, cert = verdict.source, verdict.target, verdict.status.certificate
     return [
-        verdict.source.r,
-        verdict.source.d,
-        verdict.target.r,
-        verdict.target.d,
-        verdict.status.kind.value,
-        cert.rule.value if cert else "",
-        _witness_text(cert.witness) if cert else "",
+        source.r, source.d, target.r, target.d, verdict.status.kind.value,
+        cert.rule.value if cert else "", _witness_text(cert.witness) if cert else "",
     ]
 
 
-def _cmd_report(args) -> int:
-    ledger = _load_ledger_arg(args)
-    report = genus_report(args.g, ledger)
-    pair_rows = [_pair_row(v) for v in report.pairs]
-    if args.format == "json":
-        result = {
-            "g": report.g,
-            "loci": [dict(zip(_MAXIMAL_HEADERS, row)) for row in _maximal_rows(args.g)],
-            "pairs": [
-                {
-                    "source": [v.source.r, v.source.d],
-                    "target": [v.target.r, v.target.d],
-                    "status": v.status.kind.value,
-                    "rule": v.status.certificate.rule.value if v.status.certificate else None,
-                    "witness": dict(v.status.certificate.witness)
-                    if v.status.certificate
-                    else None,
-                }
-                for v in report.pairs
-            ],
-            "conjecture": "verified" if report.verified else "open",
-            "open_pairs": [
-                [[v.source.r, v.source.d], [v.target.r, v.target.d]]
-                for v in report.open_pairs
-            ],
-        }
-        _emit_json("report", {"g": args.g, "ledger": args.ledger}, result)
-    elif args.format == "csv":
-        _emit_csv(_PAIR_HEADERS, pair_rows)
-    else:
-        print(f"expected maximal loci at genus {args.g}")
-        _emit_table(_MAXIMAL_HEADERS, _maximal_rows(args.g))
-        print()
-        print("ordered pair statuses (source not contained in target?)")
-        _emit_table(_PAIR_HEADERS, pair_rows)
-        print()
-        n_open = len(report.open_pairs)
-        if report.verified:
-            print(f"conjecture at genus {args.g}: verified ({len(report.pairs)} pairs established)")
-        else:
-            opens = ", ".join(
-                f"({v.source.r},{v.source.d}) vs ({v.target.r},{v.target.d})"
-                for v in report.open_pairs
-            )
-            print(f"conjecture at genus {args.g}: {n_open} open pair(s): {opens}")
-    return 0
-
-
-def _cmd_check(args) -> int:
-    ledger = _load_ledger_arg(args)
-    status = pair_status(args.source, args.target, ledger)
+def _status_doc(status: PairStatus) -> dict:
     cert = status.certificate
-    inputs = {
-        "source": [args.source.g, args.source.r, args.source.d],
-        "target": [args.target.g, args.target.r, args.target.d],
-        "ledger": args.ledger,
+    return {
+        "status": status.kind.value,
+        "rule": cert.rule.value if cert else None,
+        "witness": dict(cert.witness) if cert else None,
     }
-    if args.format == "json":
-        _emit_json(
-            "check",
-            inputs,
-            {
-                "status": status.kind.value,
-                "rule": cert.rule.value if cert else None,
-                "witness": dict(cert.witness) if cert else None,
-            },
-        )
-    elif args.format == "csv":
-        row = [
-            args.source.r,
-            args.source.d,
-            args.target.r,
-            args.target.d,
-            status.kind.value,
-            cert.rule.value if cert else "",
-            _witness_text(cert.witness) if cert else "",
-        ]
-        _emit_csv(_PAIR_HEADERS, [row])
+
+
+def _cmd_report(args) -> tuple[dict, _Output]:
+    report = genus_report(args.g, _load_ledger_arg(args))
+    loci_rows = _maximal_rows(report.loci)
+    pair_rows = [_pair_row(v) for v in report.pairs]
+    doc = {
+        "g": report.g,
+        "loci": [dict(zip(_MAXIMAL_HEADERS, row)) for row in loci_rows],
+        "pairs": [
+            {"source": [v.source.r, v.source.d], "target": [v.target.r, v.target.d],
+             **_status_doc(v.status)}
+            for v in report.pairs
+        ],
+        "conjecture": "verified" if report.verified else "open",
+        "open_pairs": [
+            [[v.source.r, v.source.d], [v.target.r, v.target.d]] for v in report.open_pairs
+        ],
+    }
+    if report.verified:
+        verdict = f"verified ({len(report.pairs)} pairs established)"
     else:
-        text = f"{args.source} vs {args.target}: {status.kind.value}"
-        if cert:
-            text += f" rule={cert.rule.value} {_witness_text(cert.witness)}"
-        print(text)
-    return 0
+        opens = ", ".join(
+            f"({v.source.r},{v.source.d}) vs ({v.target.r},{v.target.d})"
+            for v in report.open_pairs
+        )
+        verdict = f"{len(report.open_pairs)} open pair(s): {opens}"
+    text = "\n".join([
+        f"expected maximal loci at genus {args.g}",
+        _table_text(_MAXIMAL_HEADERS, loci_rows),
+        "",
+        "ordered pair statuses (source not contained in target?)",
+        _table_text(_PAIR_HEADERS, pair_rows),
+        "",
+        f"conjecture at genus {args.g}: {verdict}",
+    ])
+    inputs = {"g": args.g, "ledger": args.ledger}
+    return inputs, _Output(_PAIR_HEADERS, pair_rows, doc=doc, text=text)
 
 
-def _cmd_gtable(args) -> int:
+def _cmd_check(args) -> tuple[dict, _Output]:
+    source, target = BNLocus(*args.source), BNLocus(*args.target)
+    status = pair_status(source, target, _load_ledger_arg(args))
+    inputs = {"source": list(args.source), "target": list(args.target), "ledger": args.ledger}
+    cert = status.certificate
+    text = f"{source} vs {target}: {status.kind.value}"
+    if cert:
+        text += f" rule={cert.rule.value} {_witness_text(cert.witness)}"
+    row = _pair_row(PairVerdict(source, target, status))
+    return inputs, _Output(_PAIR_HEADERS, [row], doc=_status_doc(status), text=text)
+
+
+def _cmd_gtable(args) -> tuple[dict, _Output]:
     if not 2 <= args.r_min <= args.r_max:
-        print("error: gtable requires 2 <= r-min <= r-max", file=sys.stderr)
-        return 1
+        raise _UsageError("gtable requires 2 <= r-min <= r-max")
     s_range = SRange(args.s_range)
     rows = [
         [r, maximal_loci.compute_G(r, s_range)] for r in range(args.r_min, args.r_max + 1)
     ]
-    if args.format == "json":
-        inputs = {"r_min": args.r_min, "r_max": args.r_max, "s_range": args.s_range}
-        _emit_json("gtable", inputs, [{"r": r, "G": G} for r, G in rows])
-    elif args.format == "csv":
-        _emit_csv(["r", "G"], rows)
-    else:
-        _emit_table(["r", "G"], rows)
-    return 0
+    inputs = {"r_min": args.r_min, "r_max": args.r_max, "s_range": args.s_range}
+    return inputs, _Output(["r", "G"], rows)
 
 
-def _cmd_exceptional(args) -> int:
-    s_range = SRange(args.s_range)
-    genera = maximal_loci.exceptional_genera(args.r, s_range)
-    if args.format == "json":
-        _emit_json("exceptional", {"r": args.r, "s_range": args.s_range}, genera)
-    elif args.format == "csv":
-        _emit_csv(["g"], [[g] for g in genera])
-    else:
-        print(" ".join(str(g) for g in genera))
-    return 0
+def _cmd_exceptional(args) -> tuple[dict, _Output]:
+    genera = maximal_loci.exceptional_genera(args.r, SRange(args.s_range))
+    inputs = {"r": args.r, "s_range": args.s_range}
+    text = " ".join(str(g) for g in genera)
+    return inputs, _Output(["g"], [[g] for g in genera], doc=genera, text=text)
 
 
 _FIGURE_HEADERS = ["r", "d_max", "rho", "kappa", "lower_bound_approx", "upper_bound_approx"]
 
 
 def _cmd_figure(args) -> int:
-    rows = _maximal_rows(args.g)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_FIGURE_HEADERS)
-    writer.writerows(rows)
+    rows = _maximal_rows(maximal_loci.enumerate_expected_maximal(args.g))
+    text = _csv_text(_FIGURE_HEADERS, rows)
     if args.out is None:
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(text)
         return 0
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
+            fh.write(text)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 1
@@ -368,16 +306,22 @@ def _cmd_selftest(args) -> int:
 # parser
 
 
+_S_RANGES = tuple(s.value for s in SRange)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="bnkappa", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name: str, func, help_: str, formats: bool = True) -> _Parser:
+        # a formatted command returns (inputs, _Output) and _emit renders it
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(func=func)
         if formats:
+            p.set_defaults(func=lambda args: _emit(args, *func(args)))
             p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+        else:
+            p.set_defaults(func=func)
         return p
 
     p = add("rho", _cmd_rho, "Brill-Noether number g - (r+1)(g-d+r)")
@@ -416,11 +360,11 @@ def build_parser() -> _Parser:
     p = add("gtable", _cmd_gtable, "genus thresholds G(r), default r = 2..10")
     p.add_argument("--r-min", type=int, default=2)
     p.add_argument("--r-max", type=int, default=10)
-    p.add_argument("--s-range", choices=("maximal", "paper", "lemma"), default="maximal")
+    p.add_argument("--s-range", choices=_S_RANGES, default="maximal")
 
     p = add("exceptional", _cmd_exceptional, "genera where the kappa inequality fails")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s-range", choices=("maximal", "paper", "lemma"), default="maximal")
+    p.add_argument("--s-range", choices=_S_RANGES, default="maximal")
 
     p = add(
         "figure", _cmd_figure, "per-rank CSV of d_max, rho, kappa and bounds", formats=False
@@ -444,6 +388,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except LedgerError as exc:
         print(f"error: malformed ledger: {exc}", file=sys.stderr)
+        return 1
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -91,7 +91,16 @@ def suite_kappa_oracle(gmax: int) -> SuiteResult:
 def suite_maximal_degree(gmax: int) -> SuiteResult:
     res = SuiteResult("maximal-degree-formulas")
     for g in range(3, gmax + 1):
-        for r in range(1, maximal_loci.r_max_expected(g) + 1):
+        top = maximal_loci.r_max_expected(g)
+        scanned = [
+            r for r in range(1, g + 1)
+            if maximal_loci.is_expected_maximal(g, r, maximal_loci.d_max(g, r))
+        ]
+        res.check(
+            scanned == list(range(1, top + 1)),
+            f"expected maximal ranks at g={g} are {scanned}, not 1..{top}",
+        )
+        for r in range(1, top + 1):
             d = maximal_loci.d_max(g, r)
             res.check(
                 bn_core.rho(g, r, d) < 0 <= bn_core.rho(g, r, d + 1),

@@ -54,6 +54,25 @@ def test_kappa_closed_method_covers_serre_range(capsys):
     assert (code, out) == (0, "6\n")
 
 
+def test_scalar_json_and_csv_frozen(capsys):
+    code, out, _ = run(capsys, "rho", "--g", "20", "--r", "3", "--d", "17", "--format", "json")
+    assert (code, out) == (0, (
+        '{\n  "command": "rho",\n  "inputs": {\n    "g": 20,\n    "r": 3,\n'
+        '    "d": 17\n  },\n  "result": -4\n}\n'
+    ))
+    code, out, _ = run(capsys, "rho", "--g", "20", "--r", "3", "--d", "17", "--format", "csv")
+    assert (code, out) == (0, "value\r\n-4\r\n")
+
+
+def test_kappa_csv_frozen(capsys):
+    code, out, _ = run(capsys, "kappa", "--g", "20", "--r", "3", "--d", "17", "--format", "csv")
+    assert (code, out) == (0, (
+        "method,value,branch,rho,gamma\r\n"
+        "closed,6,closed-second-case,-4,11\r\n"
+        "brute,6,brute-force,-4,11\r\n"
+    ))
+
+
 def test_kappa_json_structure(capsys):
     code, out, _ = run(capsys, "kappa", "--g", "20", "--r", "3", "--d", "17",
                        "--format", "json")
@@ -201,6 +220,74 @@ def test_report_json_with_ledger_verified(capsys):
     assert len(doc["result"]["pairs"]) == 12
 
 
+REPORT_21_PAIRS = [
+    ("1", "11", "2", "15", "established", "kappa-gap", "kappa_source=11 kappa_target=7"),
+    ("1", "11", "3", "18", "established", "kappa-gap", "kappa_source=11 kappa_target=6"),
+    ("1", "11", "4", "20", "established", "kappa-gap", "kappa_source=11 kappa_target=6"),
+    ("2", "15", "1", "11", "established", "external", "cite=Auel-Haburcak 2022"),
+    ("2", "15", "3", "18", "established", "kappa-gap", "kappa_source=7 kappa_target=6"),
+    ("2", "15", "4", "20", "established", "kappa-gap", "kappa_source=7 kappa_target=6"),
+    ("3", "18", "1", "11", "established", "external", "cite=Auel-Haburcak 2022"),
+    ("3", "18", "2", "15", "established", "external", "cite=Auel-Haburcak 2022"),
+    ("3", "18", "4", "20", "open", "", ""),
+    ("4", "20", "1", "11", "established", "external", "cite=Auel-Haburcak 2022"),
+    ("4", "20", "2", "15", "established", "external", "cite=Auel-Haburcak 2022"),
+    ("4", "20", "3", "18", "established", "external", "cite=Auel-Haburcak 2022"),
+]
+
+
+def test_report_genus_21_table_frozen(capsys):
+    code, out, _ = run(capsys, "report", "--g", "21", "--ledger", LEDGER)
+    assert code == 0
+    assert out.splitlines() == [
+        "expected maximal loci at genus 21",
+        "r  d   rho  kappa  lower_bound_approx  upper_bound_approx",
+        "1  11  -1   11     8.6716              11.5000",
+        "2  15  -3   7      5.5359              9.0000",
+        "3  18  -3   6      4.2500              8.2500",
+        "4  20  -4   6      3.7279              8.2000",
+        "",
+        "ordered pair statuses (source not contained in target?)",
+        "source_r  source_d  target_r  target_d  status       rule       detail",
+        "1         11        2         15        established  kappa-gap  kappa_source=11 kappa_target=7",
+        "1         11        3         18        established  kappa-gap  kappa_source=11 kappa_target=6",
+        "1         11        4         20        established  kappa-gap  kappa_source=11 kappa_target=6",
+        "2         15        1         11        established  external   cite=Auel-Haburcak 2022",
+        "2         15        3         18        established  kappa-gap  kappa_source=7 kappa_target=6",
+        "2         15        4         20        established  kappa-gap  kappa_source=7 kappa_target=6",
+        "3         18        1         11        established  external   cite=Auel-Haburcak 2022",
+        "3         18        2         15        established  external   cite=Auel-Haburcak 2022",
+        "3         18        4         20        open",
+        "4         20        1         11        established  external   cite=Auel-Haburcak 2022",
+        "4         20        2         15        established  external   cite=Auel-Haburcak 2022",
+        "4         20        3         18        established  external   cite=Auel-Haburcak 2022",
+        "",
+        "conjecture at genus 21: 1 open pair(s): (3,18) vs (4,20)",
+    ]
+
+
+def test_report_genus_21_csv_frozen(capsys):
+    code, out, _ = run(capsys, "report", "--g", "21", "--ledger", LEDGER, "--format", "csv")
+    assert code == 0
+    header = "source_r,source_d,target_r,target_d,status,rule,detail"
+    assert out == "".join(line + "\r\n" for line in [header, *map(",".join, REPORT_21_PAIRS)])
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_report_enumerates_loci_once(capsys, monkeypatch, fmt):
+    calls = []
+    original = maximal_loci.enumerate_expected_maximal
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr("bnkappa.maximal_loci.enumerate_expected_maximal", counted)
+    monkeypatch.setattr("bnkappa.certificates.enumerate_expected_maximal", counted)
+    code, _, _ = run(capsys, "report", "--g", "20", "--format", fmt)
+    assert code == 0 and calls == [20]
+
+
 def test_report_malformed_ledger_exit_1(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('[{"g": 20, "source": [3, 17], "target": [1, 10], "cite": "x", "oops": 1}]')
@@ -230,6 +317,48 @@ def test_check_open_and_trivial(capsys):
     assert code == 0 and "trivial-containment" in out
 
 
+def test_check_csv_frozen(capsys):
+    header = "source_r,source_d,target_r,target_d,status,rule,detail\r\n"
+    code, out, _ = run(capsys, "check", "--source", "20,3,17", "--target", "20,4,19",
+                       "--format", "csv")
+    assert (code, out) == (0, header + "3,17,4,19,established,kappa-gap,"
+                              "kappa_source=6 kappa_target=5\r\n")
+    code, out, _ = run(capsys, "check", "--source", "21,3,18", "--target", "21,4,20",
+                       "--format", "csv")
+    assert (code, out) == (0, header + "3,18,4,20,open,,\r\n")
+
+
+def test_check_json_frozen(capsys):
+    code, out, _ = run(capsys, "check", "--source", "20,3,17", "--target", "20,4,19",
+                       "--format", "json")
+    assert code == 0
+    assert out == (
+        '{\n  "command": "check",\n  "inputs": {\n'
+        '    "source": [\n      20,\n      3,\n      17\n    ],\n'
+        '    "target": [\n      20,\n      4,\n      19\n    ],\n'
+        '    "ledger": null\n  },\n  "result": {\n'
+        '    "status": "established",\n    "rule": "kappa-gap",\n'
+        '    "witness": {\n      "kappa_source": 6,\n      "kappa_target": 5\n    }\n'
+        '  }\n}\n'
+    )
+    code, out, _ = run(capsys, "check", "--source", "21,3,18", "--target", "21,4,20",
+                       "--ledger", LEDGER, "--format", "json")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["inputs"]["ledger"] == LEDGER
+    assert doc["result"] == {"status": "open", "rule": None, "witness": None}
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [("1,3,17", "genus must be >= 2"), ("20,-1,17", "rank and degree must be >= 0")],
+)
+def test_check_triple_outside_domain_exit_2(capsys, source, message):
+    code, out, err = run(capsys, "check", "--source", source, "--target", "20,4,19")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
 def test_check_genus_mismatch_exit_2(capsys):
     code, _, err = run(capsys, "check", "--source", "20,3,17", "--target", "21,4,20")
     assert code == 2 and err.startswith("error:")
@@ -245,6 +374,24 @@ def test_gtable_default_frozen(capsys):
     assert out == (
         "r,G\r\n2,28\r\n3,50\r\n4,96\r\n5,140\r\n6,232\r\n"
         "7,306\r\n8,390\r\n9,561\r\n10,684\r\n"
+    )
+
+
+def test_gtable_table_and_json_frozen(capsys):
+    code, out, _ = run(capsys, "gtable", "--r-min", "2", "--r-max", "4")
+    assert (code, out) == (0, "r  G\n2  28\n3  50\n4  96\n")
+    code, out, _ = run(capsys, "gtable")
+    assert code == 0
+    assert out.splitlines()[:2] == ["r   G", "2   28"]
+    assert out.splitlines()[-1] == "10  684"
+    code, out, _ = run(capsys, "gtable", "--r-min", "2", "--r-max", "4", "--format", "json")
+    assert code == 0
+    assert out == (
+        '{\n  "command": "gtable",\n  "inputs": {\n    "r_min": 2,\n    "r_max": 4,\n'
+        '    "s_range": "maximal"\n  },\n  "result": [\n'
+        '    {\n      "r": 2,\n      "G": 28\n    },\n'
+        '    {\n      "r": 3,\n      "G": 50\n    },\n'
+        '    {\n      "r": 4,\n      "G": 96\n    }\n  ]\n}\n'
     )
 
 
@@ -275,6 +422,11 @@ def test_exceptional_json(capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["result"] == [17, 18, 19, 21, 24, 28, 29, 33, 34, 41, 44, 49]
+
+
+def test_exceptional_csv_frozen(capsys):
+    code, out, _ = run(capsys, "exceptional", "--r", "2", "--format", "csv")
+    assert (code, out) == (0, "g\r\n12\r\n15\r\n18\r\n19\r\n24\r\n27\r\n")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnkappa.bn_core import BNLocus, kappa, kappa_brute, rho
-from bnkappa.errors import DomainError
+from bnkappa import maximal_loci
+from bnkappa.errors import DomainError, InternalError
 from bnkappa.maximal_loci import (
     SRange,
     compute_G,
@@ -73,7 +74,8 @@ def test_r_max_expected_frozen():
 
 
 def test_r_max_expected_matches_scan():
-    for g in range(3, 200):
+    # the full-scan oracle behind enumerate_expected_maximal's boundary check
+    for g in range(3, 3001):
         expected = [r for r in range(1, g + 1) if is_expected_maximal(g, r, d_max(g, r))]
         assert expected == list(range(1, r_max_expected(g) + 1)), g
 
@@ -159,6 +161,27 @@ def test_enumerate_expected_maximal_frozen():
     (only,) = enumerate_expected_maximal(4)
     assert only.locus == BNLocus(4, 1, 2)
     assert only.kappa.value == 2
+
+
+def test_enumerate_expected_maximal_checks_only_the_boundary(monkeypatch):
+    calls = []
+    original = maximal_loci.is_expected_maximal
+
+    def counted(g, r, d):
+        calls.append(r)
+        return original(g, r, d)
+
+    monkeypatch.setattr(maximal_loci, "is_expected_maximal", counted)
+    records = enumerate_expected_maximal(10**6)
+    assert len(records) == r_max_expected(10**6) == 999
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_enumerate_expected_maximal_rejects_a_wrong_rank_range(monkeypatch, shift):
+    monkeypatch.setattr(maximal_loci, "r_max_expected", lambda g: r_max_expected(g) + shift)
+    with pytest.raises(InternalError, match="rank range"):
+        enumerate_expected_maximal(30)
 
 
 # ---------------------------------------------------------------------------
