@@ -25,7 +25,6 @@ from .bn_core import (
     rho,
     rho_pflueger,
     serre_dual,
-    trivial_specializations,
 )
 from .certificates import (
     GenusReport,

@@ -15,7 +15,8 @@ computed here two independent ways:
   used to reach that range when d > g - 1.
 
 The two routes are kept separate on purpose so they can be checked against
-each other; `kappa` dispatches but never blends them.
+each other: `kappa` is the closed route alone, and `kappa_brute` is its
+oracle.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "kappa_closed",
     "kappa",
     "serre_dual",
-    "trivial_specializations",
 ]
 
 
@@ -95,6 +95,8 @@ def rho(g: int, r: int, d: int) -> int:
 
 def clifford_index(r: int, d: int) -> int:
     """Clifford index d - 2r of a series of rank r and degree d."""
+    if r < 0 or d < 0:
+        raise DomainError(f"clifford_index requires r >= 0, d >= 0; got ({r}, {d})")
     return d - 2 * r
 
 
@@ -201,44 +203,20 @@ def serre_dual(g: int, r: int, d: int) -> BNLocus:
 
 
 def kappa(g: int, r: int, d: int) -> KappaResult:
-    """Gonality invariant, dispatching to the closed formula when possible.
+    """Gonality invariant by the closed formula.
 
     For d <= g - 1 this is kappa_closed.  For d > g - 1 the Serre-dual locus
     has degree 2g - 2 - d <= g - 1 and the same rho and Clifford index, so
-    the closed formula is applied there (branch SERRE_DUAL_REDUCTION); if the
-    dual falls outside the formula's domain, falls back to kappa_brute.
+    the closed formula is applied there (branch SERRE_DUAL_REDUCTION).  When
+    the dual does not exist or lies outside the formula's domain, its
+    DomainError propagates: with rho < 0 that happens exactly when d < 2r,
+    g - d + r <= 1 or d > 2g - 2, where kappa_brute has no value either.
     """
     rv = rho(g, r, d)
     if rv >= 0:
         raise DomainError(f"kappa undefined outside rho < 0: rho({g},{r},{d}) = {rv}")
     if d <= g - 1:
         return kappa_closed(g, r, d)
-    try:
-        dual = serre_dual(g, r, d)
-    except DomainError:
-        dual = None
-    if (
-        dual is not None
-        and dual.d <= g - 1
-        and dual.r >= 1
-        and clifford_index(dual.r, dual.d) >= 0
-    ):
-        res = kappa_closed(dual.g, dual.r, dual.d)
-        return KappaResult(res.value, KappaBranch.SERRE_DUAL_REDUCTION, rv, clifford_index(r, d))
-    return kappa_brute(g, r, d)
-
-
-def trivial_specializations(g: int, r: int, d: int) -> list[BNLocus]:
-    """One-step containments that hold for every curve.
-
-    A series of rank r and degree d yields one of degree d + 1 (add a base
-    point), so (g, r, d) always specializes to (g, r, d+1).  Removing a
-    non-base point yields (g, r-1, d-1); that target is only recorded while
-    it is a proper locus, i.e. while rho(g, r-1, d-1) < 0.
-    """
-    if r < 1:
-        raise DomainError(f"trivial_specializations requires r >= 1, got {r}")
-    out = [BNLocus(g, r, d + 1)]
-    if d >= 1 and rho(g, r - 1, d - 1) < 0:
-        out.append(BNLocus(g, r - 1, d - 1))
-    return out
+    dual = serre_dual(g, r, d)
+    res = kappa_closed(dual.g, dual.r, dual.d)
+    return KappaResult(res.value, KappaBranch.SERRE_DUAL_REDUCTION, rv, clifford_index(r, d))

@@ -214,21 +214,28 @@ def load_ledger(path: Union[str, Path]) -> Ledger:
 def trivial_closure(g: int, r: int, d: int) -> set[BNLocus]:
     """All loci reachable from (g, r, d) by one or more trivial steps.
 
-    Bounded by degree <= 2g - 2; the step relation strictly increases degree
-    or decreases rank, so the walk terminates.
+    A trivial step holds for every curve: adding a base point takes (r, d)
+    to (r, d+1), and removing a non-base point takes it to (r-1, d-1) while
+    that target is a proper locus (rho < 0).  Only starts with r >= 1 and
+    d < 2g - 2 take a step, and degrees stay <= 2g - 2.
+
+    The set is built in closed form.  For each rank s in 1..r, the lowest
+    reachable degree is x = max(d - (r - s), 0), and every degree from x to
+    2g - 2 is reached, provided s = r or rho(g, s, x) < 0.  A rank drop keeps
+    h = g - d + r fixed, so rho only rises as the rank falls and the last
+    drop is the hardest; a degree step lowers h, so dropping rank first is
+    never worse.  The step-by-step search is the oracle in the tests.
     """
     start = BNLocus(g, r, d)
-    seen: set[BNLocus] = set()
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        if node.r < 1 or node.d >= 2 * node.g - 2:
-            continue
-        for nxt in bn_core.trivial_specializations(node.g, node.r, node.d):
-            if nxt.d <= 2 * nxt.g - 2 and nxt not in seen and nxt != start:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+    if r < 1 or d >= 2 * g - 2:
+        return set()
+    out: set[BNLocus] = set()
+    for s in range(1, r + 1):
+        x = max(d - (r - s), 0)
+        if s == r or bn_core.rho(g, s, x) < 0:
+            out.update(BNLocus(g, s, e) for e in range(x, 2 * g - 1))
+    out.discard(start)
+    return out
 
 
 def _require_admissible_pair(source: BNLocus, target: BNLocus, op: str) -> None:

@@ -1,4 +1,5 @@
-"""Core numerology: rho, the k-gonal refinement, kappa two ways, duality."""
+"""Core numerology: rho, the k-gonal refinement, kappa two ways, duality,
+and the step-by-step search that is the oracle for the trivial closure."""
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,8 @@ from bnkappa.bn_core import (
     rho,
     rho_pflueger,
     serre_dual,
-    trivial_specializations,
 )
+from bnkappa.certificates import trivial_closure
 from bnkappa.errors import DomainError, InternalError
 from bnkappa.maximal_loci import d_max
 
@@ -231,6 +232,25 @@ def test_kappa_dispatch_matches_brute_above_serre_range():
                 assert kappa(g, r, d).value == kappa_brute(g, r, d).value, (g, r, d)
 
 
+@pytest.mark.parametrize(
+    "g, r, d",
+    [
+        (10, 6, 11),  # d < 2r above g - 1: the dual has gamma = -1 too
+        (10, 10, 19),  # g - d + r = 1 (forces d > 2g - 2): no dual
+        (10, 11, 19),  # d > 2g - 2: the dual degree would be negative
+    ],
+)
+def test_kappa_without_a_closed_value_raises_without_brute_force(monkeypatch, g, r, d):
+    assert rho(g, r, d) < 0
+
+    def fail(*args):
+        raise AssertionError("kappa called kappa_brute")
+
+    monkeypatch.setattr(bn_core, "kappa_brute", fail)
+    with pytest.raises(DomainError):
+        kappa(g, r, d)
+
+
 def test_kappa_oracle_equivalence_small():
     # the full g <= 60 sweep runs in the acceptance suite; keep a quick gate here
     for g, r, d in admissible_triples(40):
@@ -293,7 +313,41 @@ def test_serre_invariance_of_rho_gamma_rhok():
 
 
 # ---------------------------------------------------------------------------
-# trivial specializations
+# trivial specializations: the step relation and the search over it, kept here
+# as the oracle for certificates.trivial_closure, which builds the same set in
+# closed form
+
+
+def trivial_specializations(g, r, d):
+    """One-step containments that hold for every curve.
+
+    A series of rank r and degree d yields one of degree d + 1 (add a base
+    point), so (g, r, d) always specializes to (g, r, d+1).  Removing a
+    non-base point yields (g, r-1, d-1); that target is only recorded while
+    it is a proper locus, i.e. while rho(g, r-1, d-1) < 0.
+    """
+    if r < 1:
+        raise DomainError(f"trivial_specializations requires r >= 1, got {r}")
+    out = [BNLocus(g, r, d + 1)]
+    if d >= 1 and rho(g, r - 1, d - 1) < 0:
+        out.append(BNLocus(g, r - 1, d - 1))
+    return out
+
+
+def trivial_closure_by_search(g, r, d):
+    """All loci reachable from (g, r, d) by one or more trivial steps, walked."""
+    start = BNLocus(g, r, d)
+    seen = set()
+    frontier = [start]
+    while frontier:
+        node = frontier.pop()
+        if node.r < 1 or node.d >= 2 * node.g - 2:
+            continue
+        for nxt in trivial_specializations(node.g, node.r, node.d):
+            if nxt.d <= 2 * nxt.g - 2 and nxt not in seen and nxt != start:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
 
 
 def test_trivial_specializations_frozen():
@@ -312,3 +366,40 @@ def test_trivial_specializations_frozen():
 def test_trivial_specializations_requires_positive_rank():
     with pytest.raises(DomainError):
         trivial_specializations(20, 0, 5)
+
+
+def test_trivial_closure_matches_search_on_every_small_start():
+    # Every start with g <= 25 and r, d in 0..2g+1.  Steps raise the degree or
+    # lower the rank, so the search's set is the union over the steps x -> y
+    # of {y} and y's set, and empty where no step is taken.  Visiting ranks
+    # upward and degrees downward, each y is checked before x, so this is the
+    # search with one step per start; walking it from every start takes
+    # minutes.  Tuples, not BNLocus, keep the set comparisons cheap.
+    for g in range(2, 26):
+        done = {}
+        for r in range(0, 2 * g + 2):
+            done = {key: value for key, value in done.items() if key[0] == r - 1}
+            for d in range(2 * g + 1, -1, -1):
+                want = set()
+                if r >= 1 and d < 2 * g - 2:
+                    for step in trivial_specializations(g, r, d):
+                        want.add((step.g, step.r, step.d))
+                        want |= done[step.r, step.d]
+                got = {(x.g, x.r, x.d) for x in trivial_closure(g, r, d)}
+                assert got == want, (g, r, d)
+                done[r, d] = got
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_trivial_closure_matches_search_at_larger_genus(data):
+    g = data.draw(st.integers(min_value=26, max_value=120), label="g")
+    r = data.draw(st.integers(min_value=0, max_value=2 * g + 1), label="r")
+    d = data.draw(st.integers(min_value=0, max_value=2 * g + 1), label="d")
+    assert trivial_closure(g, r, d) == trivial_closure_by_search(g, r, d)
+
+
+def test_trivial_closure_rejects_an_invalid_start():
+    for g, r, d in ((1, 1, 0), (20, -1, 5), (20, 3, -1)):
+        with pytest.raises(DomainError):
+            trivial_closure(g, r, d)

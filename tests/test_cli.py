@@ -110,6 +110,22 @@ def test_kappa_domain_error_exit_2(capsys):
     assert err.startswith("error:")
 
 
+def test_kappa_closed_outside_the_formula_names_the_condition(capsys):
+    # rho(10, 6, 11) = -25 but d < 2r: no closed value, and no brute one either
+    code, out, err = run(capsys, "kappa", "--method", "closed", "--g", "10", "--r", "6",
+                         "--d", "11")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "d - 2r >= 0" in err
+    assert "kappa_brute" not in err
+
+
+@pytest.mark.parametrize("argv", [["--r", "3", "--d", "-5"], ["--r", "-1", "--d", "17"]])
+def test_gamma_negative_rank_or_degree_exit_2(capsys, argv):
+    code, out, err = run(capsys, "gamma", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 

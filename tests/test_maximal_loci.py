@@ -112,8 +112,9 @@ def test_kappa_at_dmax_frozen():
 
 
 def test_kappa_at_dmax_agrees_with_both_routes():
+    # ranks up to the lemma s-range's top, whose d_max can exceed g - 1
     for g in range(3, 200):
-        for r in range(1, r_max_expected(g) + 1):
+        for r in range(1, max(r_max_expected(g), maximal_loci._lemma_s_bound(g)) + 1):
             d = d_max(g, r)
             closed = kappa_at_dmax(g, r)
             assert closed == kappa(g, r, d).value, (g, r)
