@@ -36,11 +36,8 @@ from .certificates import (
     PairVerdict,
     Rule,
     StatusKind,
-    divisor_noncontainment,
     genus_report,
     load_ledger,
-    noncontainment_by_dimension,
-    noncontainment_by_kappa,
     pair_status,
     trivial_closure,
 )

@@ -23,14 +23,16 @@ to published facts:
                        citation.
 
 Each rule is written once, as a derive function in the ordered table
-_RULES; pair_status walks the table in exactly that order, so reports are
-deterministic.  Absence of a certificate never asserts containment: the pair
-is Open.
+_RULES.  pair_status is the one way to ask for a certificate: it walks the
+table in exactly that order, so reports are deterministic.  Absence of a
+certificate never asserts containment: the pair is Open.
 
 Every certificate carries a witness.  NonContainmentCertificate.verify()
 re-runs the same rule's derive function on the pair and accepts only an
 exact match with the stored witness, so a tampered, missing or extra
-witness field fails.
+witness field fails.  pair_status and verify() share one admissibility
+check (distinct loci, equal genus, rho < 0 on both sides), so a
+certificate of a locus against itself never verifies.
 """
 
 from __future__ import annotations
@@ -58,9 +60,6 @@ __all__ = [
     "LedgerError",
     "load_ledger",
     "trivial_closure",
-    "noncontainment_by_kappa",
-    "noncontainment_by_dimension",
-    "divisor_noncontainment",
     "pair_status",
     "genus_report",
 ]
@@ -149,6 +148,8 @@ class Ledger:
         self.entries = entries
         for e in entries:
             key = (e.g, e.source, e.target)
+            if e.source == e.target:
+                raise LedgerError(f"ledger entry for {key} has equal source and target")
             if key in self._by_key:
                 raise LedgerError(f"duplicate ledger entry for {key}")
             self._by_key[key] = e.cite
@@ -239,6 +240,8 @@ def trivial_closure(g: int, r: int, d: int) -> set[BNLocus]:
 
 
 def _require_admissible_pair(source: BNLocus, target: BNLocus, op: str) -> None:
+    if source == target:
+        raise DomainError(f"{op} requires distinct loci")
     if source.g != target.g:
         raise DomainError(f"{op} requires equal genus, got {source.g} and {target.g}")
     if source.rho() >= 0 or target.rho() >= 0:
@@ -254,11 +257,8 @@ Witness = dict[str, object]
 
 
 def _kappa_gap(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Optional[Witness]:
-    try:
-        ks = bn_core.kappa(source.g, source.r, source.d).value
-        kt = bn_core.kappa(target.g, target.r, target.d).value
-    except DomainError:
-        return None  # kappa undefined for one side; the rule cannot apply
+    ks = bn_core.kappa(source.g, source.r, source.d).value
+    kt = bn_core.kappa(target.g, target.r, target.d).value
     return {"kappa_source": ks, "kappa_target": kt} if ks > kt else None
 
 
@@ -269,11 +269,9 @@ def _dimension(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Op
 
 def _divisor(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Optional[Witness]:
     if target.rho() != -1:
-        raise DomainError(
-            f"divisor_noncontainment requires rho(target) = -1, got {target.rho()}"
-        )
+        raise DomainError(f"the divisor criterion requires rho(target) = -1, got {target.rho()}")
     if source.r < 2:
-        return None
+        return None  # rank-1 sources are the kappa rule's job
     if source.g + 1 > source.d // source.r + source.d:
         return None
     gap = ceil_2sqrt(-source.rho()) - 2
@@ -287,7 +285,7 @@ def _divisor(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Opti
 
 
 def _flip(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Optional[Witness]:
-    if source.rho() != -1 or target.rho() != -1 or source == target:
+    if source.rho() != -1 or target.rho() != -1:
         return None
     reverse = _derive_certificate(target, source, ledger, skip=Rule.EQUIDIMENSIONAL_FLIP)
     return None if reverse is None else {"reverse_rule": reverse.rule.value, "rho": -1}
@@ -326,45 +324,6 @@ def _derive_certificate(
     return None
 
 
-def _certify(
-    rule: Rule, source: BNLocus, target: BNLocus, op: str
-) -> Optional[NonContainmentCertificate]:
-    _require_admissible_pair(source, target, op)
-    witness = _RULES[rule](source, target, None)
-    return None if witness is None else NonContainmentCertificate(source, target, rule, witness)
-
-
-def noncontainment_by_kappa(
-    source: BNLocus, target: BNLocus
-) -> Optional[NonContainmentCertificate]:
-    """KAPPA_GAP certificate when kappa(source) > kappa(target), else None."""
-    return _certify(Rule.KAPPA_GAP, source, target, "noncontainment_by_kappa")
-
-
-def noncontainment_by_dimension(
-    source: BNLocus, target: BNLocus
-) -> Optional[NonContainmentCertificate]:
-    """DIMENSION certificate when -rho(source) < -rho(target) <= 3, else None.
-
-    Exact codimension is only known for -3 <= rho <= -1, hence the cap on
-    the target side; the source side needs only the general upper bound.
-    """
-    return _certify(Rule.DIMENSION, source, target, "noncontainment_by_dimension")
-
-
-def divisor_noncontainment(
-    source: BNLocus, target: BNLocus
-) -> Optional[NonContainmentCertificate]:
-    """DIVISOR_CRITERION certificate for a target with rho = -1, else None.
-
-    Requires gamma(target) > gamma(source) + ceil(2*sqrt(-rho(source))) - 2
-    together with g + 1 <= floor(d/r) + d for the source and source rank
-    >= 2 (rank-1 sources are instead handled by the kappa rule).  Raises
-    DomainError when rho(target) != -1.
-    """
-    return _certify(Rule.DIVISOR_CRITERION, source, target, "divisor_noncontainment")
-
-
 def pair_status(
     source: BNLocus, target: BNLocus, ledger: Optional[Ledger] = None
 ) -> PairStatus:
@@ -375,8 +334,6 @@ def pair_status(
     ESTABLISHED with the first applicable certificate in the fixed rule
     order, or OPEN when no rule applies.  OPEN never asserts containment.
     """
-    if source == target:
-        raise DomainError("pair_status requires distinct loci")
     _require_admissible_pair(source, target, "pair_status")
     if target in trivial_closure(source.g, source.r, source.d):
         return PairStatus(StatusKind.TRIVIAL_CONTAINMENT)

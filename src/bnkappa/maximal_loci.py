@@ -116,18 +116,15 @@ def rho_at_dmax(g: int, r: int) -> int:
 
 
 def kappa_at_dmax(g: int, r: int) -> int:
-    """kappa at the maximal degree, in closed form.
-
-    For r = 1 this is ceil(g/2).  For r >= 2:
+    """kappa at the maximal degree, in closed form:
 
         g + r + 2 + floor(-g*r/(r+1)) + floor(-2*sqrt(r + 1 - (g mod (r+1))))
 
     where the floor of the negative quotient is taken toward minus infinity.
+    At r = 1 this is ceil(g/2), the general gonality.
     """
     if g < 3 or r < 1:
         raise DomainError(f"kappa_at_dmax requires g >= 3 and r >= 1, got ({g}, {r})")
-    if r == 1:
-        return -(-g // 2)
     return g + r + 2 + (-g * r // (r + 1)) + floor_neg_2sqrt(r + 1 - g % (r + 1))
 
 
@@ -209,6 +206,8 @@ def genus_threshold_holds(g: int, r: int) -> bool:
 
 def genus_threshold_min(r: int) -> int:
     """Smallest genus satisfying genus_threshold_holds(., r)."""
+    if r < 1:
+        raise DomainError(f"genus_threshold_min requires r >= 1, got {r}")
     n = r + 1
     c = 4 * n * n + 2 * n
     t = isqrt(c * c * n)

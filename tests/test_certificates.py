@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bnkappa import certificates
 from bnkappa.bn_core import BNLocus, clifford_index, rho
 from bnkappa.certificates import (
     Ledger,
@@ -12,11 +13,8 @@ from bnkappa.certificates import (
     NonContainmentCertificate,
     Rule,
     StatusKind,
-    divisor_noncontainment,
     genus_report,
     load_ledger,
-    noncontainment_by_dimension,
-    noncontainment_by_kappa,
     pair_status,
     trivial_closure,
 )
@@ -31,32 +29,42 @@ def ledger():
     return load_ledger(SHIPPED_LEDGER)
 
 
+class _AnyCite:
+    """A ledger stub that cites every pair it is asked about."""
+
+    def lookup(self, source, target):
+        return "nobody"
+
+
+def _derive(rule, source, target, ledger=None):
+    """The witness one rule gives for the pair, admissible or not (None: nothing)."""
+    return certificates._RULES[rule](source, target, ledger)
+
+
 # ---------------------------------------------------------------------------
 # single rules, frozen
 
 
 def test_kappa_rule_frozen():
-    cert = noncontainment_by_kappa(BNLocus(34, 2, 24), BNLocus(34, 4, 31))
-    assert cert.rule is Rule.KAPPA_GAP
-    assert dict(cert.witness) == {"kappa_source": 12, "kappa_target": 10}
-    assert cert.verify()
+    witness = {"kappa_source": 12, "kappa_target": 10}
+    source, target = BNLocus(34, 2, 24), BNLocus(34, 4, 31)
+    assert NonContainmentCertificate(source, target, Rule.KAPPA_GAP, witness).verify()
 
 
 def test_kappa_rule_none_on_equal_kappa():
     # kappa(24,2,17) = kappa(24,4,23) = 8: the rule cannot separate them
-    assert noncontainment_by_kappa(BNLocus(24, 2, 17), BNLocus(24, 4, 23)) is None
-    assert noncontainment_by_kappa(BNLocus(24, 4, 23), BNLocus(24, 2, 17)) is None
+    assert _derive(Rule.KAPPA_GAP, BNLocus(24, 2, 17), BNLocus(24, 4, 23)) is None
+    assert _derive(Rule.KAPPA_GAP, BNLocus(24, 4, 23), BNLocus(24, 2, 17)) is None
 
 
 def test_dimension_rule_frozen():
-    cert = noncontainment_by_dimension(BNLocus(24, 4, 23), BNLocus(24, 2, 17))
-    assert cert.rule is Rule.DIMENSION
-    assert dict(cert.witness) == {"rho_source": -1, "rho_target": -3}
-    assert cert.verify()
+    witness = {"rho_source": -1, "rho_target": -3}
+    source, target = BNLocus(24, 4, 23), BNLocus(24, 2, 17)
+    assert NonContainmentCertificate(source, target, Rule.DIMENSION, witness).verify()
     # codimension only known up to 3: a rho = -4 target gives nothing
-    assert noncontainment_by_dimension(BNLocus(21, 3, 18), BNLocus(21, 4, 20)) is None
+    assert _derive(Rule.DIMENSION, BNLocus(21, 3, 18), BNLocus(21, 4, 20)) is None
     # nor does an equidimensional pair
-    assert noncontainment_by_dimension(BNLocus(11, 2, 9), BNLocus(11, 1, 6)) is None
+    assert _derive(Rule.DIMENSION, BNLocus(11, 2, 9), BNLocus(11, 1, 6)) is None
 
 
 def test_divisor_rule_frozen():
@@ -65,32 +73,47 @@ def test_divisor_rule_frozen():
         ((34, 2, 24), (34, 4, 31), (20, 23)),
         ((54, 3, 43), (54, 4, 47), (37, 39)),
     ]:
-        cert = divisor_noncontainment(BNLocus(*src), BNLocus(*tgt))
-        assert cert is not None and cert.rule is Rule.DIVISOR_CRITERION
-        assert dict(cert.witness) == {
-            "gamma_source": gammas[0],
-            "gamma_target": gammas[1],
-            "clifford_gap": 1,
-        }
+        witness = {"gamma_source": gammas[0], "gamma_target": gammas[1], "clifford_gap": 1}
+        cert = NonContainmentCertificate(
+            BNLocus(*src), BNLocus(*tgt), Rule.DIVISOR_CRITERION, witness
+        )
         assert cert.verify()
 
 
 def test_divisor_rule_refusals():
     # rank-1 sources are the kappa rule's job
-    assert divisor_noncontainment(BNLocus(11, 1, 6), BNLocus(11, 2, 9)) is None
+    assert _derive(Rule.DIVISOR_CRITERION, BNLocus(11, 1, 6), BNLocus(11, 2, 9)) is None
     # target must sit at rho = -1 exactly
     with pytest.raises(DomainError):
-        divisor_noncontainment(BNLocus(21, 3, 18), BNLocus(21, 4, 20))
+        _derive(Rule.DIVISOR_CRITERION, BNLocus(21, 3, 18), BNLocus(21, 4, 20))
     # Clifford gap too small: gamma 11 vs 11 at genus 20
-    assert divisor_noncontainment(BNLocus(20, 3, 17), BNLocus(20, 2, 15)) is None
+    assert _derive(Rule.DIVISOR_CRITERION, BNLocus(20, 3, 17), BNLocus(20, 2, 15)) is None
 
 
 def test_rules_reject_inadmissible_pairs():
-    for fn in (noncontainment_by_kappa, noncontainment_by_dimension, divisor_noncontainment):
+    for source, target in [
+        (BNLocus(20, 3, 17), BNLocus(21, 2, 15)),  # genus mismatch
+        (BNLocus(20, 1, 12), BNLocus(20, 2, 15)),  # rho(source) >= 0
+        (BNLocus(20, 3, 17), BNLocus(20, 3, 17)),  # equal loci
+    ]:
         with pytest.raises(DomainError):
-            fn(BNLocus(20, 3, 17), BNLocus(21, 2, 15))  # genus mismatch
-        with pytest.raises(DomainError):
-            fn(BNLocus(20, 1, 12), BNLocus(20, 2, 15))  # rho(source) >= 0
+            pair_status(source, target, _AnyCite())
+        for rule in Rule:
+            # the witness the rule itself would give, were the pair admissible
+            try:
+                witness = _derive(rule, source, target, _AnyCite()) or {}
+            except DomainError:
+                witness = {}
+            cert = NonContainmentCertificate(source, target, rule, witness)
+            assert not cert.verify(_AnyCite()), (source, target, rule)
+
+
+def test_self_pair_certificate_never_verifies():
+    a = BNLocus(20, 3, 17)
+    assert not NonContainmentCertificate(a, a, Rule.EXTERNAL, {"cite": "nobody"}).verify(_AnyCite())
+    # the same ledger certifies a distinct pair: only the self-pair is refused
+    other = NonContainmentCertificate(a, BNLocus(20, 2, 15), Rule.EXTERNAL, {"cite": "nobody"})
+    assert other.verify(_AnyCite())
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +137,7 @@ def test_pair_status_trivial_containment_wins():
 
 
 def test_pair_status_rejects_equal_loci():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="pair_status requires distinct loci"):
         pair_status(BNLocus(20, 3, 17), BNLocus(20, 3, 17))
 
 
@@ -228,8 +251,8 @@ def test_same_rho_clifford_corollary_subsumed_by_kappa():
             for r, d in members:
                 for s, e in members:
                     if clifford_index(r, d) < clifford_index(s, e):
-                        cert = noncontainment_by_kappa(BNLocus(g, r, d), BNLocus(g, s, e))
-                        assert cert is not None, (g, r, d, s, e)
+                        witness = _derive(Rule.KAPPA_GAP, BNLocus(g, r, d), BNLocus(g, s, e))
+                        assert witness is not None, (g, r, d, s, e)
                         checked += 1
     assert checked == 395
 
@@ -250,7 +273,7 @@ def test_rho_minus_two_divisor_theorem():
                     and b.rho == -1
                     and b.locus.gamma() - a.locus.gamma() >= 2
                 ):
-                    assert divisor_noncontainment(a.locus, b.locus) is not None
+                    assert _derive(Rule.DIVISOR_CRITERION, a.locus, b.locus) is not None
                     fired += 1
     assert fired == 56
 
@@ -268,17 +291,24 @@ def test_all_report_certificates_verify(ledger):
 
 
 def test_corrupted_witnesses_fail_verification(ledger):
-    good = noncontainment_by_kappa(BNLocus(20, 3, 17), BNLocus(20, 4, 19))
+    good = NonContainmentCertificate(
+        BNLocus(20, 3, 17),
+        BNLocus(20, 4, 19),
+        Rule.KAPPA_GAP,
+        {"kappa_source": 6, "kappa_target": 5},
+    )
     bad = NonContainmentCertificate(
         good.source, good.target, good.rule, {"kappa_source": 7, "kappa_target": 5}
     )
     assert good.verify() and not bad.verify()
 
-    dim = noncontainment_by_dimension(BNLocus(24, 4, 23), BNLocus(24, 2, 17))
+    dim = NonContainmentCertificate(
+        BNLocus(24, 4, 23), BNLocus(24, 2, 17), Rule.DIMENSION, {"rho_source": -1, "rho_target": -3}
+    )
     tampered = NonContainmentCertificate(
         dim.source, dim.target, dim.rule, {"rho_source": -1, "rho_target": -5}
     )
-    assert not tampered.verify()
+    assert dim.verify() and not tampered.verify()
 
     ext = pair_status(BNLocus(20, 3, 17), BNLocus(20, 2, 15), ledger).certificate
     wrong_cite = NonContainmentCertificate(
@@ -298,7 +328,12 @@ def test_corrupted_witnesses_fail_verification(ledger):
     )
     assert not extra_field.verify()
 
-    div = divisor_noncontainment(BNLocus(31, 2, 22), BNLocus(31, 3, 26))
+    div = NonContainmentCertificate(
+        BNLocus(31, 2, 22),
+        BNLocus(31, 3, 26),
+        Rule.DIVISOR_CRITERION,
+        {"gamma_source": 18, "gamma_target": 20, "clifford_gap": 1},
+    )
     wrong_gap = NonContainmentCertificate(
         div.source, div.target, div.rule, {**div.witness, "clifford_gap": 999}
     )
@@ -353,6 +388,7 @@ def test_load_ledger_array_and_lines_agree(tmp_path):
         _entry(target=[1, True]),
         _entry(cite=""),
         _entry(cite=7),
+        _entry(target=[3, 17]),  # source equals target
     ],
 )
 def test_load_ledger_rejects_malformed_entries(tmp_path, bad):

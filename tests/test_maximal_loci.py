@@ -212,6 +212,9 @@ def test_genus_threshold_frozen():
     assert {r: genus_threshold_min(r) for r in range(2, 11)} == {
         2: 82, 3: 160, 4: 271, 5: 419, 6: 605, 7: 834, 8: 1107, 9: 1429, 10: 1800,
     }
+    for r in (0, -1):
+        with pytest.raises(DomainError):
+            genus_threshold_min(r)
 
 
 def test_genus_threshold_min_is_tight():
