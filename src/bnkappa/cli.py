@@ -6,7 +6,8 @@ exceptional), pairwise queries (check) and the built-in selftest.
 
 Exit codes: 0 success, 1 usage or I/O error (including a malformed ledger
 and a reader that closed the output pipe), 2 domain error (inputs outside a
-function's mathematical domain, such as a `check` triple with g < 2), 3
+function's mathematical domain, such as a `check` triple with g < 2, or a
+scan rank above SCAN_RANK_CEILING), 3
 internal inconsistency (a cross-check that can only fail on a bug, or a
 selftest suite that failed a check or ran none).
 
@@ -259,9 +260,23 @@ def _cmd_check(args) -> tuple[dict, _Output]:
     return inputs, _Output(_PAIR_HEADERS, [row], doc=_status_doc(status), text=text)
 
 
+# The scans grow as r^2.5: `gtable --r-max 60` takes about 5 s on a 2-vCPU
+# VM and `exceptional --r 60` about 0.4 s, so higher ranks are refused.
+# The library itself scans any rank.
+SCAN_RANK_CEILING = 60
+
+
+def _require_scan_rank(command: str, flag: str, r: int) -> None:
+    if r > SCAN_RANK_CEILING:
+        raise DomainError(
+            f"{command} {flag} is capped at {SCAN_RANK_CEILING} to bound the scan's cost, got {r}"
+        )
+
+
 def _cmd_gtable(args) -> tuple[dict, _Output]:
     if not 2 <= args.r_min <= args.r_max:
         raise _UsageError("gtable requires 2 <= r-min <= r-max")
+    _require_scan_rank("gtable", "--r-max", args.r_max)
     s_range = SRange(args.s_range)
     rows = [
         [r, maximal_loci.compute_G(r, s_range)] for r in range(args.r_min, args.r_max + 1)
@@ -271,6 +286,7 @@ def _cmd_gtable(args) -> tuple[dict, _Output]:
 
 
 def _cmd_exceptional(args) -> tuple[dict, _Output]:
+    _require_scan_rank("exceptional", "--r", args.r)
     genera = maximal_loci.exceptional_genera(args.r, SRange(args.s_range))
     inputs = {"r": args.r, "s_range": args.s_range}
     text = " ".join(str(g) for g in genera)

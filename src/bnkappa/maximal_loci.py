@@ -205,7 +205,11 @@ def genus_threshold_holds(g: int, r: int) -> bool:
 
 
 def genus_threshold_min(r: int) -> int:
-    """Smallest genus satisfying genus_threshold_holds(., r)."""
+    """Smallest genus satisfying genus_threshold_holds(., r).
+
+    The closed form is checked at its boundary: genus_threshold_holds must
+    hold at the result and fail one genus below.
+    """
     if r < 1:
         raise DomainError(f"genus_threshold_min requires r >= 1, got {r}")
     n = r + 1
@@ -213,7 +217,10 @@ def genus_threshold_min(r: int) -> int:
     t = isqrt(c * c * n)
     if t * t < c * c * n:
         t += 1
-    return n * n + t
+    gmin = n * n + t
+    if not genus_threshold_holds(gmin, r) or genus_threshold_holds(gmin - 1, r):
+        raise InternalError(f"genus threshold for r={r} does not start at {gmin}")
+    return gmin
 
 
 def _paper_s_bound(g: int) -> int:
@@ -240,11 +247,26 @@ def ineq_holds_all_s(g: int, r: int, s_range: SRange = SRange.MAXIMAL) -> bool:
 
     The range is r < s <= B(g) with B given by `s_range`; an empty range
     holds vacuously.
+
+    The ranks are pruned with kappa's inclusive upper bound
+    kappa_at_dmax(g, s) <= g/(s+1) + s (the upper end of `kappa_bounds`),
+    which holds for every s >= 1.  The bound is convex in s, so once
+    kappa_at_dmax(g, r) exceeds it at both ends of [s, B] it exceeds kappa at
+    every rank between, and the inequality holds.  Exact kappa is computed
+    only for the close ranks below that point.
     """
     if g < 3 or r < 1:
         raise DomainError(f"ineq_holds_all_s requires g >= 3 and r >= 1, got ({g}, {r})")
     kr = kappa_at_dmax(g, r)
-    return all(kr > kappa_at_dmax(g, s) for s in range(r + 1, _s_bound(g, s_range) + 1))
+    top = _s_bound(g, s_range)
+    # kr > g/(s+1) + s, cleared of its denominator
+    beats_top = kr * (top + 1) > g + top * (top + 1)
+    for s in range(r + 1, top + 1):
+        if beats_top and kr * (s + 1) > g + s * (s + 1):
+            return True
+        if kr <= kappa_at_dmax(g, s):
+            return False
+    return True
 
 
 def min_genus_for_rank(r: int) -> int:

@@ -8,7 +8,7 @@ import pytest
 
 from bnkappa import maximal_loci
 from bnkappa.bn_core import KappaBranch, KappaResult
-from bnkappa.cli import main
+from bnkappa.cli import SCAN_RANK_CEILING, main
 
 LEDGER = "data/known.json"
 
@@ -443,6 +443,36 @@ def test_exceptional_json(capsys):
 def test_exceptional_csv_frozen(capsys):
     code, out, _ = run(capsys, "exceptional", "--r", "2", "--format", "csv")
     assert (code, out) == (0, "g\r\n12\r\n15\r\n18\r\n19\r\n24\r\n27\r\n")
+
+
+def _no_scan(*args):
+    pytest.fail("a refused scan must not start")
+
+
+@pytest.mark.parametrize("argv", [
+    ("gtable", "--r-max", str(SCAN_RANK_CEILING + 1)),
+    ("gtable", "--r-min", "4", "--r-max", str(SCAN_RANK_CEILING + 1), "--s-range", "lemma"),
+    ("exceptional", "--r", str(SCAN_RANK_CEILING + 1)),
+    ("exceptional", "--r", str(10**9), "--format", "json"),
+])
+def test_scan_above_the_ceiling_exit_2_before_scanning(capsys, monkeypatch, argv):
+    monkeypatch.setattr("bnkappa.maximal_loci.compute_G", _no_scan)
+    monkeypatch.setattr("bnkappa.maximal_loci.exceptional_genera", _no_scan)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and f"capped at {SCAN_RANK_CEILING}" in err
+
+
+def test_scan_at_the_ceiling_runs(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("bnkappa.maximal_loci.exceptional_genera",
+                        lambda r, s_range: calls.append(r) or [r])
+    monkeypatch.setattr("bnkappa.maximal_loci.compute_G", lambda r, s_range: calls.append(r) or r)
+    code, out, _ = run(capsys, "exceptional", "--r", str(SCAN_RANK_CEILING))
+    assert (code, out, calls) == (0, f"{SCAN_RANK_CEILING}\n", [SCAN_RANK_CEILING])
+    code, out, _ = run(capsys, "gtable", "--r-min", str(SCAN_RANK_CEILING - 1),
+                       "--r-max", str(SCAN_RANK_CEILING), "--format", "csv")
+    assert code == 0 and calls[1:] == [SCAN_RANK_CEILING - 1, SCAN_RANK_CEILING]
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,20 @@ PUBLISHED_EXCEPTIONAL = {
         52, 53, 55, 62, 65, 70, 71, 77, 95],
 }
 
-G_TABLE = {2: 28, 3: 50, 4: 96, 5: 140, 6: 232, 7: 306, 8: 390, 9: 561, 10: 684}
+G_TABLE = {
+    2: 28, 3: 50, 4: 96, 5: 140, 6: 232, 7: 306, 8: 390, 9: 561, 10: 684,
+    11: 819, 12: 1106, 13: 1290, 14: 1488, 15: 1700, 16: 2160, 17: 2432, 18: 2720,
+    19: 3024, 20: 3718, 21: 4094, 22: 4488, 23: 4900, 24: 5330, 25: 6345, 26: 6860,
+    27: 7395, 28: 7950, 29: 8525, 30: 9952,
+}
+
+
+def _ineq_unpruned(g, r, s_range):
+    # the oracle of the pruned ladder: exact kappa at every rank in range
+    kr = kappa_at_dmax(g, r)
+    return all(
+        kr > kappa_at_dmax(g, s) for s in range(r + 1, maximal_loci._s_bound(g, s_range) + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +237,13 @@ def test_genus_threshold_min_is_tight():
         assert not genus_threshold_holds(gmin - 1, r)
 
 
+@pytest.mark.parametrize("holds", [True, False])
+def test_genus_threshold_min_rejects_a_wrong_boundary(monkeypatch, holds):
+    monkeypatch.setattr(maximal_loci, "genus_threshold_holds", lambda g, r: holds)
+    with pytest.raises(InternalError, match="genus threshold"):
+        genus_threshold_min(5)
+
+
 def test_genus_threshold_implies_inequality():
     # past the threshold the ordering can no longer fail; spot-check a window
     for r in (2, 3):
@@ -241,6 +261,43 @@ def test_ineq_holds_all_s_frozen():
     assert not ineq_holds_all_s(27, 2)
     assert not ineq_holds_all_s(10, 2, SRange.LEMMA)
     assert ineq_holds_all_s(10, 2)  # rank 3 not expected maximal at g = 10
+
+
+def test_ineq_holds_all_s_matches_unpruned_loop():
+    for g in range(3, 1001):
+        for s_range in SRange:
+            for r in range(1, maximal_loci._s_bound(g, s_range) + 2):
+                assert ineq_holds_all_s(g, r, s_range) == _ineq_unpruned(g, r, s_range), (
+                    g, r, s_range,
+                )
+
+
+@given(
+    st.integers(min_value=3, max_value=10**6),
+    st.floats(min_value=0, max_value=1),
+    st.sampled_from(SRange),
+)
+@settings(max_examples=200)
+def test_ineq_holds_all_s_matches_unpruned_loop_at_large_genus(g, fraction, s_range):
+    r = 1 + int(fraction * maximal_loci._s_bound(g, s_range))
+    assert ineq_holds_all_s(g, r, s_range) == _ineq_unpruned(g, r, s_range)
+
+
+@pytest.mark.parametrize("r", [2, 10, 22, 40])
+def test_exceptional_genera_computes_kappa_about_once_per_genus(monkeypatch, r):
+    calls = []
+    original = maximal_loci.kappa_at_dmax
+
+    def counted(g, s):
+        calls.append(g)
+        return original(g, s)
+
+    monkeypatch.setattr(maximal_loci, "kappa_at_dmax", counted)
+    genera = genus_threshold_min(r) - min_genus_for_rank(r) + 1
+    for s_range in SRange:
+        calls.clear()
+        exceptional_genera(r, s_range)
+        assert len(calls) <= 2 * genera, (s_range, len(calls) / genera)
 
 
 def test_min_genus_for_rank_frozen():
@@ -261,7 +318,7 @@ def test_min_genus_for_rank_matches_scan():
 
 def test_compute_G_frozen_and_range_independent():
     for s_range in SRange:
-        assert {r: compute_G(r, s_range) for r in range(2, 11)} == G_TABLE, s_range
+        assert {r: compute_G(r, s_range) for r in G_TABLE} == G_TABLE, s_range
 
 
 def test_exceptional_genera_lemma_matches_published():
@@ -276,6 +333,17 @@ def test_exceptional_genera_frozen_other_ranges():
     assert exceptional_genera(2, SRange.PAPER) == [15, 18, 19, 24, 27]
     assert exceptional_genera(3) == [21, 24, 28, 29, 33, 34, 41, 44, 49]
     assert exceptional_genera(4, SRange.PAPER) == PUBLISHED_EXCEPTIONAL[4][5:]
+
+
+def test_exceptional_genera_match_the_unpruned_scan():
+    for s_range in SRange:
+        for r in range(2, 13):
+            expected = [
+                g
+                for g in range(min_genus_for_rank(r), genus_threshold_min(r) + 1)
+                if not _ineq_unpruned(g, r, s_range)
+            ]
+            assert exceptional_genera(r, s_range) == expected, (r, s_range)
 
 
 def test_exceptional_genera_nesting_and_G_consistency():
