@@ -38,6 +38,7 @@ certificate of a locus against itself never verifies.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator, Set
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -59,6 +60,7 @@ __all__ = [
     "Ledger",
     "LedgerError",
     "load_ledger",
+    "TrivialClosure",
     "trivial_closure",
     "pair_status",
     "genus_report",
@@ -212,7 +214,48 @@ def load_ledger(path: Union[str, Path]) -> Ledger:
     return Ledger(entries)
 
 
-def trivial_closure(g: int, r: int, d: int) -> set[BNLocus]:
+class TrivialClosure(Set[BNLocus]):
+    """Read-only set of the loci a start reaches by trivial steps.
+
+    Nothing is stored beyond the start: degrees(s) gives the reachable
+    degrees at rank s in closed form, membership asks it once, and length
+    and iteration walk it rank by rank.  The Set mixin supplies ==, <= and
+    the other comparisons, so the view compares equal to the plain set.
+    """
+
+    __slots__ = ("g", "r", "d")
+
+    def __init__(self, g: int, r: int, d: int):
+        BNLocus(g, r, d)  # an invalid start raises DomainError
+        self.g, self.r, self.d = g, r, d
+
+    def degrees(self, s: int) -> range:
+        """The degrees reachable at rank s: an interval ending at 2g - 2, or empty."""
+        g, r, d = self.g, self.r, self.d
+        if r < 1 or d >= 2 * g - 2 or not 1 <= s <= r:
+            return range(0)
+        if s == r:
+            return range(d + 1, 2 * g - 1)
+        x = max(d - (r - s), 0)
+        return range(x, 2 * g - 1) if bn_core.rho(g, s, x) < 0 else range(0)
+
+    def __contains__(self, target: object) -> bool:
+        return (
+            isinstance(target, BNLocus)
+            and target.g == self.g
+            and target.d in self.degrees(target.r)
+        )
+
+    def __iter__(self) -> Iterator[BNLocus]:
+        for s in range(1, self.r + 1):
+            for e in self.degrees(s):
+                yield BNLocus(self.g, s, e)
+
+    def __len__(self) -> int:
+        return sum(len(self.degrees(s)) for s in range(1, self.r + 1))
+
+
+def trivial_closure(g: int, r: int, d: int) -> TrivialClosure:
     """All loci reachable from (g, r, d) by one or more trivial steps.
 
     A trivial step holds for every curve: adding a base point takes (r, d)
@@ -220,23 +263,16 @@ def trivial_closure(g: int, r: int, d: int) -> set[BNLocus]:
     that target is a proper locus (rho < 0).  Only starts with r >= 1 and
     d < 2g - 2 take a step, and degrees stay <= 2g - 2.
 
-    The set is built in closed form.  For each rank s in 1..r, the lowest
-    reachable degree is x = max(d - (r - s), 0), and every degree from x to
-    2g - 2 is reached, provided s = r or rho(g, s, x) < 0.  A rank drop keeps
-    h = g - d + r fixed, so rho only rises as the rank falls and the last
-    drop is the hardest; a degree step lowers h, so dropping rank first is
-    never worse.  The step-by-step search is the oracle in the tests.
+    The result is a read-only set view, not a built set: membership is O(1),
+    and TrivialClosure.degrees(s) is the closed form.  For each rank s in
+    1..r, the lowest reachable degree is x = max(d - (r - s), 0), and every
+    degree from x to 2g - 2 is reached, provided s = r or rho(g, s, x) < 0;
+    at s = r the start itself is left out.  A rank drop keeps h = g - d + r
+    fixed, so rho only rises as the rank falls and the last drop is the
+    hardest; a degree step lowers h, so dropping rank first is never worse.
+    The step-by-step search is the oracle in the tests.
     """
-    start = BNLocus(g, r, d)
-    if r < 1 or d >= 2 * g - 2:
-        return set()
-    out: set[BNLocus] = set()
-    for s in range(1, r + 1):
-        x = max(d - (r - s), 0)
-        if s == r or bn_core.rho(g, s, x) < 0:
-            out.update(BNLocus(g, s, e) for e in range(x, 2 * g - 1))
-    out.discard(start)
-    return out
+    return TrivialClosure(g, r, d)
 
 
 def _require_admissible_pair(source: BNLocus, target: BNLocus, op: str) -> None:

@@ -6,10 +6,10 @@ exceptional), pairwise queries (check) and the built-in selftest.
 
 Exit codes: 0 success, 1 usage or I/O error (including a malformed ledger
 and a reader that closed the output pipe), 2 domain error (inputs outside a
-function's mathematical domain, such as a `check` triple with g < 2, or a
-scan rank above SCAN_RANK_CEILING), 3
-internal inconsistency (a cross-check that can only fail on a bug, or a
-selftest suite that failed a check or ran none).
+function's mathematical domain, such as a `check` triple with g < 2, a scan
+rank above SCAN_RANK_CEILING, or a `report` genus above
+REPORT_GENUS_CEILING), 3 internal inconsistency (a cross-check that can only
+fail on a bug, or a selftest suite that failed a check or ran none).
 
 Output formats, chosen with --format on every command except `figure`
 (always CSV) and `selftest` (always text): `table` (human-readable,
@@ -211,6 +211,10 @@ def _status_doc(status: PairStatus) -> dict:
 
 
 def _cmd_report(args) -> tuple[dict, _Output]:
+    if args.g > REPORT_GENUS_CEILING:
+        raise DomainError(
+            f"report --g is capped at {REPORT_GENUS_CEILING} to bound the report's cost, got {args.g}"
+        )
     report = genus_report(args.g, _load_ledger_arg(args))
     loci_rows = _maximal_rows(report.loci)
     pair_rows = [_pair_row(v) for v in report.pairs]
@@ -264,6 +268,12 @@ def _cmd_check(args) -> tuple[dict, _Output]:
 # VM and `exceptional --r 60` about 0.4 s, so higher ranks are refused.
 # The library itself scans any rank.
 SCAN_RANK_CEILING = 60
+
+# A report has about g pairs (r_max(g)^2 with r_max about sqrt(g)), so its
+# cost is about linear in g: `report --g 50000` takes about 1.6-2.6 s on a
+# 2-vCPU VM (JSON slowest), so larger genera are refused.  The library's
+# genus_report takes any genus.
+REPORT_GENUS_CEILING = 50_000
 
 
 def _require_scan_rank(command: str, flag: str, r: int) -> None:

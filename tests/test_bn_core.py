@@ -314,7 +314,7 @@ def test_serre_invariance_of_rho_gamma_rhok():
 
 # ---------------------------------------------------------------------------
 # trivial specializations: the step relation and the search over it, kept here
-# as the oracle for certificates.trivial_closure, which builds the same set in
+# as the oracle for certificates.trivial_closure, which gives the same set in
 # closed form
 
 
@@ -374,20 +374,32 @@ def test_trivial_closure_matches_search_on_every_small_start():
     # of {y} and y's set, and empty where no step is taken.  Visiting ranks
     # upward and degrees downward, each y is checked before x, so this is the
     # search with one step per start; walking it from every start takes
-    # minutes.  Tuples, not BNLocus, keep the set comparisons cheap.
+    # minutes.  Each set is kept as one degree interval per rank, and a union
+    # that would leave a gap fails, so comparing the intervals with
+    # TrivialClosure.degrees compares the sets without building them.
+    def merge(into, rank, lo, hi):
+        if rank in into:
+            a, b = into[rank]
+            assert lo <= b + 1 and a <= hi + 1, "the union leaves a gap"
+            lo, hi = min(a, lo), max(b, hi)
+        into[rank] = (lo, hi)
+
     for g in range(2, 26):
         done = {}
         for r in range(0, 2 * g + 2):
             done = {key: value for key, value in done.items() if key[0] == r - 1}
             for d in range(2 * g + 1, -1, -1):
-                want = set()
+                want = {}
                 if r >= 1 and d < 2 * g - 2:
                     for step in trivial_specializations(g, r, d):
-                        want.add((step.g, step.r, step.d))
-                        want |= done[step.r, step.d]
-                got = {(x.g, x.r, x.d) for x in trivial_closure(g, r, d)}
-                assert got == want, (g, r, d)
-                done[r, d] = got
+                        merge(want, step.r, step.d, step.d)
+                        for rank, (lo, hi) in done[step.r, step.d].items():
+                            merge(want, rank, lo, hi)
+                closure = trivial_closure(g, r, d)
+                for s in range(0, r + 2):
+                    lo, hi = want.get(s, (0, -1))
+                    assert closure.degrees(s) == range(lo, hi + 1), (g, r, d, s)
+                done[r, d] = want
 
 
 @given(st.data())
@@ -397,6 +409,39 @@ def test_trivial_closure_matches_search_at_larger_genus(data):
     r = data.draw(st.integers(min_value=0, max_value=2 * g + 1), label="r")
     d = data.draw(st.integers(min_value=0, max_value=2 * g + 1), label="d")
     assert trivial_closure(g, r, d) == trivial_closure_by_search(g, r, d)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_trivial_closure_membership_matches_search(data):
+    g = data.draw(st.integers(min_value=26, max_value=120), label="g")
+    r = data.draw(st.integers(min_value=0, max_value=2 * g + 1), label="r")
+    d = data.draw(st.integers(min_value=0, max_value=2 * g + 1), label="d")
+    closure, walked = trivial_closure(g, r, d), trivial_closure_by_search(g, r, d)
+    s = data.draw(st.integers(min_value=0, max_value=r + 1), label="s")
+    e = data.draw(st.integers(min_value=0, max_value=2 * g + 1), label="e")
+    if walked and data.draw(st.booleans(), label="use a hit"):
+        hit = data.draw(st.sampled_from(sorted(walked, key=lambda x: (x.r, x.d))), label="hit")
+        s, e = hit.r, hit.d
+    candidates = [
+        BNLocus(g, r, d),  # the start
+        BNLocus(g, s, e),
+        BNLocus(g + 1, s, e),  # another genus
+        BNLocus(g, 0, e),
+        BNLocus(g, s, 2 * g - 1),
+    ]
+    for x in candidates:
+        assert (x in closure) == (x in walked), x
+    assert (g, s, e) not in closure  # a plain tuple is not a locus
+
+
+def test_trivial_closure_len_is_the_walks_size():
+    starts = [
+        (26, 0, 5), (26, 3, 49), (26, 3, 50), (26, 52, 0), (26, 53, 53),
+        (60, 1, 30), (60, 5, 40), (60, 12, 3), (120, 4, 100), (120, 241, 0),
+    ]
+    for g, r, d in starts:
+        assert len(trivial_closure(g, r, d)) == len(trivial_closure_by_search(g, r, d)), (g, r, d)
 
 
 def test_trivial_closure_rejects_an_invalid_start():

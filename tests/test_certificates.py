@@ -13,13 +13,14 @@ from bnkappa.certificates import (
     NonContainmentCertificate,
     Rule,
     StatusKind,
+    TrivialClosure,
     genus_report,
     load_ledger,
     pair_status,
     trivial_closure,
 )
 from bnkappa.errors import DomainError
-from bnkappa.maximal_loci import enumerate_expected_maximal
+from bnkappa.maximal_loci import d_max, enumerate_expected_maximal
 
 SHIPPED_LEDGER = "data/known.json"
 
@@ -126,6 +127,21 @@ def test_trivial_closure_contents():
     assert BNLocus(20, 2, 15) in closure
     assert BNLocus(20, 3, 16) not in closure  # the start is not its own step
     assert all(x.g == 20 and x.d <= 38 for x in closure)
+
+
+def test_pair_status_at_huge_genus_never_walks_the_closure(monkeypatch):
+    def no_walk(self):
+        pytest.fail("a membership test must not walk the closure")
+
+    monkeypatch.setattr(TrivialClosure, "__iter__", no_walk)
+    g = 10**9
+    low, high = BNLocus(g, 1, d_max(g, 1)), BNLocus(g, 2, d_max(g, 2))
+    fwd = pair_status(low, high)
+    assert fwd.certificate.rule is Rule.KAPPA_GAP
+    assert dict(fwd.certificate.witness) == {
+        "kappa_source": 500000000, "kappa_target": 333333334,
+    }
+    assert pair_status(high, low).kind is StatusKind.OPEN
 
 
 def test_pair_status_trivial_containment_wins():

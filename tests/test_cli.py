@@ -8,7 +8,8 @@ import pytest
 
 from bnkappa import maximal_loci
 from bnkappa.bn_core import KappaBranch, KappaResult
-from bnkappa.cli import SCAN_RANK_CEILING, main
+from bnkappa.certificates import GenusReport, TrivialClosure
+from bnkappa.cli import REPORT_GENUS_CEILING, SCAN_RANK_CEILING, main
 
 LEDGER = "data/known.json"
 
@@ -17,6 +18,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _refused(*args):
+    pytest.fail("a refused command must not start its work")
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +322,44 @@ def test_report_missing_ledger_exit_1(capsys, tmp_path):
     assert code == 1 and "malformed ledger" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("report", "--g", str(REPORT_GENUS_CEILING + 1)),
+    ("report", "--g", str(REPORT_GENUS_CEILING + 1), "--ledger", LEDGER, "--format", "csv"),
+    ("report", "--g", str(10**9), "--format", "json"),
+])
+def test_report_above_the_ceiling_exit_2_before_any_work(capsys, monkeypatch, argv):
+    monkeypatch.setattr("bnkappa.cli.genus_report", _refused)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and f"capped at {REPORT_GENUS_CEILING}" in err
+
+
+def test_report_at_the_ceiling_runs(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("bnkappa.cli.genus_report",
+                        lambda g, ledger: calls.append(g) or GenusReport(g, (), ()))
+    code, out, _ = run(capsys, "report", "--g", str(REPORT_GENUS_CEILING), "--format", "json")
+    assert (code, calls) == (0, [REPORT_GENUS_CEILING])
+    assert json.loads(out)["result"]["g"] == REPORT_GENUS_CEILING
+
+
+def test_check_at_huge_genus_never_walks_the_closure(capsys, monkeypatch):
+    def no_walk(self):
+        pytest.fail("a membership test must not walk the closure")
+
+    monkeypatch.setattr(TrivialClosure, "__iter__", no_walk)
+    g = 10**9  # d_max(g, 1) and d_max(g, 2)
+    code, out, _ = run(capsys, "check", "--source", f"{g},1,500000000",
+                       "--target", f"{g},2,666666668", "--format", "csv")
+    assert (code, out.splitlines()[1]) == (
+        0, "1,500000000,2,666666668,established,kappa-gap,"
+           "kappa_source=500000000 kappa_target=333333334"
+    )
+    code, out, _ = run(capsys, "check", "--source", f"{g},2,666666668",
+                       "--target", f"{g},1,500000000", "--format", "csv")
+    assert (code, out.splitlines()[1]) == (0, "2,666666668,1,500000000,open,,")
+
+
 def test_check_table_frozen(capsys):
     code, out, _ = run(capsys, "check", "--source", "20,3,17", "--target", "20,4,19")
     assert code == 0
@@ -445,10 +488,6 @@ def test_exceptional_csv_frozen(capsys):
     assert (code, out) == (0, "g\r\n12\r\n15\r\n18\r\n19\r\n24\r\n27\r\n")
 
 
-def _no_scan(*args):
-    pytest.fail("a refused scan must not start")
-
-
 @pytest.mark.parametrize("argv", [
     ("gtable", "--r-max", str(SCAN_RANK_CEILING + 1)),
     ("gtable", "--r-min", "4", "--r-max", str(SCAN_RANK_CEILING + 1), "--s-range", "lemma"),
@@ -456,8 +495,8 @@ def _no_scan(*args):
     ("exceptional", "--r", str(10**9), "--format", "json"),
 ])
 def test_scan_above_the_ceiling_exit_2_before_scanning(capsys, monkeypatch, argv):
-    monkeypatch.setattr("bnkappa.maximal_loci.compute_G", _no_scan)
-    monkeypatch.setattr("bnkappa.maximal_loci.exceptional_genera", _no_scan)
+    monkeypatch.setattr("bnkappa.maximal_loci.compute_G", _refused)
+    monkeypatch.setattr("bnkappa.maximal_loci.exceptional_genera", _refused)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and f"capped at {SCAN_RANK_CEILING}" in err
