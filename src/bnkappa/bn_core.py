@@ -111,18 +111,30 @@ def general_gonality(g: int) -> int:
 
 
 def rho_pflueger(g: int, r: int, d: int, k: int) -> int:
-    """Pflueger's k-gonal Brill-Noether number.
+    """Pflueger's k-gonal Brill-Noether number, in O(1).
 
     rho_k(g, r, d) = max over 0 <= l <= r' of  rho(g, r - l, d) - l*k,
     with r' = min(r, g - d + r - 1).  The l = 0 term is always included, so
     rho_k >= rho.
+
+    With A = r + 1 and h = g - d + r, term l is g - A*h + (A + h - k)*l - l^2,
+    a concave parabola in l with vertex at (A + h - k)/2.  When A + h - k is
+    odd the two integers beside the vertex tie, so the vertex's ceiling,
+    clamped to [0, max(0, r')], is a maximiser and one evaluation gives rho_k.
     """
     if k < 2:
         raise DomainError(f"gonality k must be >= 2, got {k}")
     if g < 2 or r < 0 or d < 0:
         raise DomainError(f"rho_pflueger requires g >= 2, r >= 0, d >= 0; got ({g}, {r}, {d})")
-    top = max(0, r_prime(g, r, d))
-    return max(rho(g, r - l, d) - l * k for l in range(0, top + 1))
+    a, h = r + 1, g - d + r
+    # plain comparisons, not min/max: this is kappa_brute's inner step
+    l = (a + h - k + 1) // 2
+    top = r_prime(g, r, d)
+    if l > top:
+        l = top
+    if l < 0:
+        l = 0
+    return g - (a - l) * (h - l) - l * k
 
 
 def kappa_brute(g: int, r: int, d: int) -> KappaResult:
@@ -134,7 +146,8 @@ def kappa_brute(g: int, r: int, d: int) -> KappaResult:
     form an initial segment of the range.  The cap is probed first (rho_k >= 0
     there contradicts rho < 0) and then k = 2 (rho_2 < 0 means no k
     qualifies); both are InternalErrors.  Cost: O(log g) evaluations of
-    rho_k at O(r') each, against O(g) for a scan over every k.
+    rho_k, each O(1) by its parabola vertex, against O(g) for a scan over
+    every k.
     Requires rho < 0 (otherwise kappa is undefined), d - 2r >= 0 and
     g - d + r >= 1 (otherwise no k qualifies).
     """

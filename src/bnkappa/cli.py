@@ -7,9 +7,10 @@ exceptional), pairwise queries (check) and the built-in selftest.
 Exit codes: 0 success, 1 usage or I/O error (including a malformed ledger
 and a reader that closed the output pipe), 2 domain error (inputs outside a
 function's mathematical domain, such as a `check` triple with g < 2, a scan
-rank above SCAN_RANK_CEILING, or a `report` genus above
-REPORT_GENUS_CEILING), 3 internal inconsistency (a cross-check that can only
-fail on a bug, or a selftest suite that failed a check or ran none).
+rank above SCAN_RANK_CEILING, a `report` genus above REPORT_GENUS_CEILING,
+or a `selftest --gmax` below 3 or above SELFTEST_GENUS_CEILING), 3 internal
+inconsistency (a cross-check that can only fail on a bug, or a selftest
+suite that failed a check or ran none).
 
 Output formats, chosen with --format on every command except `figure`
 (always CSV) and `selftest` (always text): `table` (human-readable,
@@ -275,6 +276,12 @@ SCAN_RANK_CEILING = 60
 # genus_report takes any genus.
 REPORT_GENUS_CEILING = 50_000
 
+# The kappa oracle suite checks closed against brute kappa on every admissible
+# triple up to --gmax, about gmax^3/12 of them at O(log g) each: `selftest
+# --gmax 160` takes about 3.8-4.3 s on a 2-vCPU VM, so larger sweeps are
+# refused.  The library's selfcheck.run_all takes any gmax.
+SELFTEST_GENUS_CEILING = 160
+
 
 def _require_scan_rank(command: str, flag: str, r: int) -> None:
     if r > SCAN_RANK_CEILING:
@@ -322,6 +329,15 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    if args.gmax < 3:
+        raise DomainError(
+            f"selftest --gmax must be >= 3, the least genus with a kappa, got {args.gmax}"
+        )
+    if args.gmax > SELFTEST_GENUS_CEILING:
+        raise DomainError(
+            f"selftest --gmax is capped at {SELFTEST_GENUS_CEILING} to bound the sweep's cost, "
+            f"got {args.gmax}"
+        )
     results = selfcheck.run_all(args.gmax)
     text, ok = selfcheck.render(results)
     print(text)
@@ -399,7 +415,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")
 
     p = add("selftest", _cmd_selftest, "run built-in consistency suites", formats=False)
-    p.add_argument("--gmax", type=int, default=60)
+    p.add_argument("--gmax", type=int, default=60,
+                   help=f"largest genus swept, 3..{SELFTEST_GENUS_CEILING} (default 60)")
 
     return parser
 

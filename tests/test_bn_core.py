@@ -87,6 +87,49 @@ def test_rho_pflueger_frozen():
     assert rho_pflueger(20, 1, 10, 11) == -1
 
 
+def rho_pflueger_linear(g, r, d, k):
+    """rho_k from its definition: the maximum over every l = 0..max(0, r')."""
+    top = max(0, r_prime(g, r, d))
+    return max(rho(g, r - l, d) - l * k for l in range(0, top + 1))
+
+
+def test_rho_pflueger_matches_linear_maximum_on_every_small_tuple():
+    count = 0
+    for g in range(2, 31):
+        for r in range(0, g + 2):
+            for d in range(0, 2 * g + 2):
+                for k in range(2, g + 3):
+                    assert rho_pflueger(g, r, d, k) == rho_pflueger_linear(g, r, d, k), (
+                        g, r, d, k,
+                    )
+                    count += 1
+    assert count == 512_836
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_rho_pflueger_matches_linear_maximum_at_huge_genus(data):
+    # r' = min(r, g - d + r - 1) is kept <= 2,000 so the oracle stays cheap:
+    # either the rank is small or the degree is close to g + r
+    g = data.draw(st.integers(min_value=2, max_value=10**9), label="g")
+    if data.draw(st.booleans(), label="small rank"):
+        r = data.draw(st.integers(min_value=0, max_value=min(g + 1, 2_000)), label="r")
+        d = data.draw(st.integers(min_value=0, max_value=2 * g + 1), label="d")
+    else:
+        r = data.draw(st.integers(min_value=0, max_value=g + 1), label="r")
+        d = data.draw(st.integers(min_value=max(0, g + r - 2_001), max_value=2 * g + 1), label="d")
+    top = max(0, r_prime(g, r, d))
+    assert top <= 2_000
+    # k either anywhere or placing the parabola's vertex (r + 1 + g - d + r - k)/2
+    # at a drawn l in [0, r'], off by a few
+    l = data.draw(st.integers(min_value=0, max_value=top), label="vertex")
+    near = r + 1 + g - d + r - 2 * l + data.draw(st.integers(-3, 3), label="offset")
+    k = data.draw(
+        st.integers(min_value=2, max_value=g + 2) | st.just(min(max(near, 2), g + 2)), label="k"
+    )
+    assert rho_pflueger(g, r, d, k) == rho_pflueger_linear(g, r, d, k)
+
+
 def test_rho_pflueger_requires_k_at_least_2():
     with pytest.raises(DomainError):
         rho_pflueger(20, 3, 17, 1)

@@ -9,7 +9,8 @@ import pytest
 from bnkappa import maximal_loci
 from bnkappa.bn_core import KappaBranch, KappaResult
 from bnkappa.certificates import GenusReport, TrivialClosure
-from bnkappa.cli import REPORT_GENUS_CEILING, SCAN_RANK_CEILING, main
+from bnkappa.cli import REPORT_GENUS_CEILING, SCAN_RANK_CEILING, SELFTEST_GENUS_CEILING, main
+from bnkappa.selfcheck import SuiteResult
 
 LEDGER = "data/known.json"
 
@@ -99,6 +100,24 @@ def test_kappa_both_methods_at_huge_genus(capsys):
     assert code == 0
     result = json.loads(out)["result"]
     assert result["closed"]["value"] == result["brute"]["value"] == result["value"]
+
+
+HUGE_RANK = ("--g", "1000000000", "--r", "100000000", "--d", "200000000")
+
+
+def test_rhok_and_kappa_at_huge_rank(capsys):
+    # r' = 10**8: the vertex (r + 1 + g - d + r - k)/2 of rho_k's parabola lies
+    # beyond r', so the l = r' term rho(g, 0, d) - r'k = d - 5*10**8 is the maximum
+    code, out, _ = run(capsys, "rhok", *HUGE_RANK, "--k", "5")
+    assert (code, out) == (0, "-300000000\n")
+    # d // r = 2 and g + 1 > 2 + d: the closed formula's first case
+    code, out, _ = run(capsys, "kappa", *HUGE_RANK, "--method", "both", "--format", "json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    rho = 10**9 - (10**8 + 1) * (10**9 - 2 * 10**8 + 10**8)
+    assert result["closed"] == {"value": 2, "branch": "closed-first-case", "rho": rho, "gamma": 0}
+    assert result["brute"] == {"value": 2, "branch": "brute-force", "rho": rho, "gamma": 0}
+    assert result["value"] == 2
 
 
 def test_kappa_method_mismatch_is_internal_error(capsys, monkeypatch):
@@ -563,6 +582,26 @@ def test_selftest_small_passes(capsys):
     code, out, _ = run(capsys, "selftest", "--gmax", "10")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("gmax", ["2", "0", "-5", str(SELFTEST_GENUS_CEILING + 1), str(10**6)])
+def test_selftest_gmax_outside_its_range_exit_2_before_any_suite(capsys, monkeypatch, gmax):
+    monkeypatch.setattr("bnkappa.selfcheck.run_all", _refused)
+    code, out, err = run(capsys, "selftest", "--gmax", gmax)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "selftest --gmax" in err
+    if int(gmax) > SELFTEST_GENUS_CEILING:
+        assert f"capped at {SELFTEST_GENUS_CEILING}" in err
+
+
+@pytest.mark.parametrize("gmax", [3, SELFTEST_GENUS_CEILING])
+def test_selftest_gmax_at_the_ends_of_its_range_runs(capsys, monkeypatch, gmax):
+    calls = []
+    monkeypatch.setattr("bnkappa.selfcheck.run_all",
+                        lambda g: calls.append(g) or [SuiteResult("stub", passed=1)])
+    code, out, _ = run(capsys, "selftest", "--gmax", str(gmax))
+    assert (code, calls) == (0, [gmax])
+    assert out.startswith("PASS  stub: 1 passed, 0 failed")
 
 
 def test_selftest_suite_without_checks_fails(capsys):
