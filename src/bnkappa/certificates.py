@@ -190,28 +190,18 @@ def _parse_entry(obj: object, where: str) -> LedgerEntry:
 
 
 def load_ledger(path: Union[str, Path]) -> Ledger:
-    """Load a ledger from JSON: either one array, or one object per line."""
+    """Load a ledger from one JSON array of entries."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LedgerError(f"cannot read ledger {path}: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise LedgerError(f"invalid JSON in ledger {path}: {exc}") from exc
-        return Ledger([_parse_entry(obj, f"entry {i}") for i, obj in enumerate(data)])
-    entries = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise LedgerError(f"invalid JSON on ledger line {lineno}: {exc}") from exc
-        entries.append(_parse_entry(obj, f"line {lineno}"))
-    return Ledger(entries)
+    try:
+        data = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise LedgerError(f"invalid JSON in ledger {path}: {exc}") from exc
+    if not isinstance(data, list):
+        raise LedgerError(f"ledger {path} must be one JSON array, got {type(data).__name__}")
+    return Ledger([_parse_entry(obj, f"entry {i}") for i, obj in enumerate(data)])
 
 
 class TrivialClosure(Set[BNLocus]):

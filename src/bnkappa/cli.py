@@ -2,13 +2,15 @@
 
 Subcommands mirror the library: scalar queries (rho, gamma, rhok, kappa,
 dmax), per-genus summaries (maximal, report, figure), genus scans (gtable,
-exceptional), pairwise queries (check) and the built-in selftest.
+exceptional), pairwise queries (check) and the built-in selftest.  `kappa`
+always runs both routes, the closed formula and the brute-force search, and
+exits 3 if they disagree.  A ledger is one JSON array of entries.
 
 Exit codes: 0 success, 1 usage or I/O error (including a malformed ledger
 and a reader that closed the output pipe), 2 domain error (inputs outside a
 function's mathematical domain, such as a `check` triple with g < 2, a scan
 rank above SCAN_RANK_CEILING, a `report` genus above REPORT_GENUS_CEILING,
-or a `selftest --gmax` below 3 or above SELFTEST_GENUS_CEILING), 3 internal
+or a `selftest --gmax` below 6 or above SELFTEST_GENUS_CEILING), 3 internal
 inconsistency (a cross-check that can only fail on a bug, or a selftest
 suite that failed a check or ran none).
 
@@ -149,22 +151,19 @@ _KAPPA_HEADERS = ["method", "value", "branch", "rho", "gamma"]
 
 
 def _cmd_kappa(args) -> tuple[dict, _Output]:
-    inputs = {"g": args.g, "r": args.r, "d": args.d, "method": args.method}
-    results = {}
-    if args.method in ("closed", "both"):
-        results["closed"] = bn_core.kappa(args.g, args.r, args.d)
-    if args.method in ("brute", "both"):
-        results["brute"] = bn_core.kappa_brute(args.g, args.r, args.d)
-    if args.method == "both" and results["closed"].value != results["brute"].value:
+    g, r, d = args.g, args.r, args.d
+    closed, brute = bn_core.kappa(g, r, d), bn_core.kappa_brute(g, r, d)
+    if closed.value != brute.value:
         raise InternalError(
-            f"kappa mismatch at ({args.g},{args.r},{args.d}): "
-            f"closed={results['closed'].value} brute={results['brute'].value}"
+            f"kappa mismatch at ({g},{r},{d}): closed={closed.value} brute={brute.value}"
         )
-    value = next(iter(results.values())).value
-    rows = [[m, r.value, r.branch.value, r.rho, r.gamma] for m, r in results.items()]
+    rows = [
+        [method, k.value, k.branch.value, k.rho, k.gamma]
+        for method, k in (("closed", closed), ("brute", brute))
+    ]
     doc = {row[0]: dict(zip(_KAPPA_HEADERS[1:], row[1:])) for row in rows}
-    doc["value"] = value
-    return inputs, _Output(_KAPPA_HEADERS, rows, doc=doc, text=str(value))
+    doc["value"] = closed.value
+    return {"g": g, "r": r, "d": d}, _Output(_KAPPA_HEADERS, rows, doc=doc, text=str(closed.value))
 
 
 def _cmd_dmax(args) -> tuple[dict, _Output]:
@@ -212,10 +211,7 @@ def _status_doc(status: PairStatus) -> dict:
 
 
 def _cmd_report(args) -> tuple[dict, _Output]:
-    if args.g > REPORT_GENUS_CEILING:
-        raise DomainError(
-            f"report --g is capped at {REPORT_GENUS_CEILING} to bound the report's cost, got {args.g}"
-        )
+    _require_at_most("report --g", args.g, REPORT_GENUS_CEILING, "report")
     report = genus_report(args.g, _load_ledger_arg(args))
     loci_rows = _maximal_rows(report.loci)
     pair_rows = [_pair_row(v) for v in report.pairs]
@@ -278,22 +274,23 @@ REPORT_GENUS_CEILING = 50_000
 
 # The kappa oracle suite checks closed against brute kappa on every admissible
 # triple up to --gmax, about gmax^3/12 of them at O(log g) each: `selftest
-# --gmax 160` takes about 3.8-4.3 s on a 2-vCPU VM, so larger sweeps are
-# refused.  The library's selfcheck.run_all takes any gmax.
+# --gmax 160` takes about 4.3-4.8 s on a 2-vCPU VM (about 4 s of it in that
+# suite, 0.25 s certifying genera up to 160), so larger sweeps are refused.
+# The library's selfcheck.run_all takes any gmax.
 SELFTEST_GENUS_CEILING = 160
 
 
-def _require_scan_rank(command: str, flag: str, r: int) -> None:
-    if r > SCAN_RANK_CEILING:
+def _require_at_most(option: str, value: int, ceiling: int, work: str) -> None:
+    if value > ceiling:
         raise DomainError(
-            f"{command} {flag} is capped at {SCAN_RANK_CEILING} to bound the scan's cost, got {r}"
+            f"{option} is capped at {ceiling} to bound the {work}'s cost, got {value}"
         )
 
 
 def _cmd_gtable(args) -> tuple[dict, _Output]:
     if not 2 <= args.r_min <= args.r_max:
         raise _UsageError("gtable requires 2 <= r-min <= r-max")
-    _require_scan_rank("gtable", "--r-max", args.r_max)
+    _require_at_most("gtable --r-max", args.r_max, SCAN_RANK_CEILING, "scan")
     s_range = SRange(args.s_range)
     rows = [
         [r, maximal_loci.compute_G(r, s_range)] for r in range(args.r_min, args.r_max + 1)
@@ -303,7 +300,7 @@ def _cmd_gtable(args) -> tuple[dict, _Output]:
 
 
 def _cmd_exceptional(args) -> tuple[dict, _Output]:
-    _require_scan_rank("exceptional", "--r", args.r)
+    _require_at_most("exceptional --r", args.r, SCAN_RANK_CEILING, "scan")
     genera = maximal_loci.exceptional_genera(args.r, SRange(args.s_range))
     inputs = {"r": args.r, "s_range": args.s_range}
     text = " ".join(str(g) for g in genera)
@@ -329,15 +326,13 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    if args.gmax < 3:
+    floor = maximal_loci.min_genus_for_rank(2)
+    if args.gmax < floor:
         raise DomainError(
-            f"selftest --gmax must be >= 3, the least genus with a kappa, got {args.gmax}"
+            f"selftest --gmax must be >= {floor}, the least genus with two expected maximal "
+            f"loci, got {args.gmax}"
         )
-    if args.gmax > SELFTEST_GENUS_CEILING:
-        raise DomainError(
-            f"selftest --gmax is capped at {SELFTEST_GENUS_CEILING} to bound the sweep's cost, "
-            f"got {args.gmax}"
-        )
+    _require_at_most("selftest --gmax", args.gmax, SELFTEST_GENUS_CEILING, "sweep")
     results = selfcheck.run_all(args.gmax)
     text, ok = selfcheck.render(results)
     print(text)
@@ -381,7 +376,6 @@ def build_parser() -> _Parser:
     p = add("kappa", _cmd_kappa, "gonality invariant of a locus with rho < 0")
     for flag in ("--g", "--r", "--d"):
         p.add_argument(flag, type=int, required=True)
-    p.add_argument("--method", choices=("closed", "brute", "both"), default="both")
 
     p = add("dmax", _cmd_dmax, "largest degree with rho < 0 at fixed g, r")
     for flag in ("--g", "--r"):
@@ -416,7 +410,8 @@ def build_parser() -> _Parser:
 
     p = add("selftest", _cmd_selftest, "run built-in consistency suites", formats=False)
     p.add_argument("--gmax", type=int, default=60,
-                   help=f"largest genus swept, 3..{SELFTEST_GENUS_CEILING} (default 60)")
+                   help=f"largest genus every suite sweeps, {maximal_loci.min_genus_for_rank(2)}.."
+                        f"{SELFTEST_GENUS_CEILING} (default 60)")
 
     return parser
 

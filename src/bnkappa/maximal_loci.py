@@ -2,7 +2,7 @@
 
 For fixed genus g and rank r the largest degree with rho < 0 is
 
-    d_max(g, r) = r + ceil(g*r / (r+1)) - 1,
+    d_max(g, r) = g + r - 1 - floor(g / (r+1)),
 
 and the locus (g, r, d_max) is "expected maximal": it is not trivially
 contained in any other proper locus.  Such loci exist exactly for ranks
@@ -73,10 +73,14 @@ class MaximalLocusRecord:
 
 
 def d_max(g: int, r: int) -> int:
-    """Largest degree d with rho(g, r, d) < 0: r + ceil(g*r/(r+1)) - 1."""
+    """Largest degree d with rho(g, r, d) < 0: g + r - 1 - floor(g/(r+1)).
+
+    rho(g, r, d) < 0 means (r+1)(g - d + r) > g, that is g - d + r >= the
+    least integer above g/(r+1), which is floor(g/(r+1)) + 1.
+    """
     if g < 2 or r < 1:
         raise DomainError(f"d_max requires g >= 2 and r >= 1, got ({g}, {r})")
-    return r + -(-g * r // (r + 1)) - 1
+    return g + r - 1 - g // (r + 1)
 
 
 def r_max_expected(g: int) -> int:
@@ -118,14 +122,14 @@ def rho_at_dmax(g: int, r: int) -> int:
 def kappa_at_dmax(g: int, r: int) -> int:
     """kappa at the maximal degree, in closed form:
 
-        g + r + 2 + floor(-g*r/(r+1)) + floor(-2*sqrt(r + 1 - (g mod (r+1))))
+        floor(g/(r+1)) + r + 2 + floor(-2*sqrt(r + 1 - (g mod (r+1))))
 
-    where the floor of the negative quotient is taken toward minus infinity.
-    At r = 1 this is ceil(g/2), the general gonality.
+    The square root's argument is -rho_at_dmax(g, r), in [1, r+1].  At r = 1
+    this is ceil(g/2), the general gonality.
     """
     if g < 3 or r < 1:
         raise DomainError(f"kappa_at_dmax requires g >= 3 and r >= 1, got ({g}, {r})")
-    return g + r + 2 + (-g * r // (r + 1)) + floor_neg_2sqrt(r + 1 - g % (r + 1))
+    return g // (r + 1) + r + 2 + floor_neg_2sqrt(r + 1 - g % (r + 1))
 
 
 def kappa_bounds(g: int, r: int) -> tuple[Surd, Surd]:

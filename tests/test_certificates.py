@@ -381,15 +381,20 @@ def test_shipped_ledger_contents(ledger):
     assert ledger.lookup(BNLocus(20, 3, 17), BNLocus(21, 1, 11)) is None
 
 
-def test_load_ledger_array_and_lines_agree(tmp_path):
+def test_load_ledger_reads_only_one_json_array(tmp_path):
     entries = [_entry(), _entry(target=[2, 15], cite="Y 2021")]
     array_file = tmp_path / "array.json"
     array_file.write_text(json.dumps(entries))
-    lines_file = tmp_path / "lines.json"
-    lines_file.write_text("\n".join(json.dumps(e) for e in entries) + "\n")
-    a, b = load_ledger(array_file), load_ledger(lines_file)
-    assert a.entries == b.entries
-    assert a.lookup(BNLocus(20, 3, 17), BNLocus(20, 2, 15)) == "Y 2021"
+    assert load_ledger(array_file).lookup(BNLocus(20, 3, 17), BNLocus(20, 2, 15)) == "Y 2021"
+    for name, text in [
+        ("lines.json", "\n".join(json.dumps(e) for e in entries) + "\n"),
+        ("object.json", json.dumps(entries[0])),
+        ("empty.json", ""),
+    ]:
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(LedgerError):
+            load_ledger(path)
 
 
 @pytest.mark.parametrize(
@@ -423,6 +428,14 @@ def test_load_ledger_rejects_duplicates_and_garbage(tmp_path):
     broken.write_text("[{]")
     with pytest.raises(LedgerError):
         load_ledger(broken)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    with pytest.raises(LedgerError):
+        load_ledger(deep)
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b"\xff\xfe[]")
+    with pytest.raises(LedgerError):
+        load_ledger(not_utf8)
     with pytest.raises(LedgerError):
         load_ledger(tmp_path / "nope.json")
 

@@ -1,17 +1,27 @@
 """CLI surface: output formats, exit codes, and library round-trips."""
 
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from bnkappa import maximal_loci
 from bnkappa.bn_core import KappaBranch, KappaResult
 from bnkappa.certificates import GenusReport, TrivialClosure
-from bnkappa.cli import REPORT_GENUS_CEILING, SCAN_RANK_CEILING, SELFTEST_GENUS_CEILING, main
+from bnkappa.cli import (
+    REPORT_GENUS_CEILING,
+    SCAN_RANK_CEILING,
+    SELFTEST_GENUS_CEILING,
+    build_parser,
+    main,
+)
 from bnkappa.selfcheck import SuiteResult
 
+ROOT = Path(__file__).resolve().parent.parent
 LEDGER = "data/known.json"
 
 
@@ -55,8 +65,7 @@ def test_kappa_table_prints_bare_value(capsys):
 
 
 def test_kappa_closed_method_covers_serre_range(capsys):
-    code, out, _ = run(capsys, "kappa", "--g", "20", "--r", "5", "--d", "21",
-                       "--method", "closed")
+    code, out, _ = run(capsys, "kappa", "--g", "20", "--r", "5", "--d", "21")
     assert (code, out) == (0, "6\n")
 
 
@@ -85,7 +94,7 @@ def test_kappa_json_structure(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["command"] == "kappa"
-    assert doc["inputs"] == {"g": 20, "r": 3, "d": 17, "method": "both"}
+    assert doc["inputs"] == {"g": 20, "r": 3, "d": 17}
     assert doc["result"]["value"] == 6
     assert doc["result"]["closed"] == {
         "value": 6, "branch": "closed-second-case", "rho": -4, "gamma": 11,
@@ -111,7 +120,7 @@ def test_rhok_and_kappa_at_huge_rank(capsys):
     code, out, _ = run(capsys, "rhok", *HUGE_RANK, "--k", "5")
     assert (code, out) == (0, "-300000000\n")
     # d // r = 2 and g + 1 > 2 + d: the closed formula's first case
-    code, out, _ = run(capsys, "kappa", *HUGE_RANK, "--method", "both", "--format", "json")
+    code, out, _ = run(capsys, "kappa", *HUGE_RANK, "--format", "json")
     assert code == 0
     result = json.loads(out)["result"]
     rho = 10**9 - (10**8 + 1) * (10**9 - 2 * 10**8 + 10**8)
@@ -136,8 +145,7 @@ def test_kappa_domain_error_exit_2(capsys):
 
 def test_kappa_closed_outside_the_formula_names_the_condition(capsys):
     # rho(10, 6, 11) = -25 but d < 2r: no closed value, and no brute one either
-    code, out, err = run(capsys, "kappa", "--method", "closed", "--g", "10", "--r", "6",
-                         "--d", "11")
+    code, out, err = run(capsys, "kappa", "--g", "10", "--r", "6", "--d", "11")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "d - 2r >= 0" in err
     assert "kappa_brute" not in err
@@ -164,6 +172,8 @@ def test_gamma_negative_rank_or_degree_exit_2(capsys, argv):
         ["kappa", "--g", "20", "--r", "3", "--d", "17", "--format", "xml"],
         ["no-such-command"],
         ["check", "--source", "20,3", "--target", "20,4,19"],
+        ["kappa", "--g", "20", "--r", "3", "--d", "17", "--method", "closed"],
+        ["kappa", "--g", "20", "--r", "3", "--d", "17", "--method", "brute"],
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):
@@ -175,6 +185,22 @@ def test_version_flag(capsys):
     code, out, err = run(capsys, "--version")
     assert code == 0
     assert "bnkappa" in out + err
+
+
+def _parser_flags(parser) -> set:
+    flags = set()
+    for action in parser._actions:
+        flags.update(o for o in action.option_strings if o.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _parser_flags(sub)
+    return flags
+
+
+def test_readme_documents_exactly_the_parser_flags():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    documented = set(re.findall(r"--[a-z][a-z-]*", readme)) - {"--no-build-isolation"}
+    assert documented == _parser_flags(build_parser()) - {"--help"}
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +359,15 @@ def test_report_malformed_ledger_exit_1(capsys, tmp_path):
     bad.write_text('[{"g": 20, "source": [3, 17], "target": [1, 10], "cite": "x", "oops": 1}]')
     code, _, err = run(capsys, "report", "--g", "20", "--ledger", str(bad))
     assert code == 1
+    assert "malformed ledger" in err
+
+
+def test_report_json_lines_ledger_exit_1(capsys, tmp_path):
+    entry = {"g": 20, "source": [3, 17], "target": [1, 10], "cite": "x"}
+    lines = tmp_path / "lines.json"
+    lines.write_text(f"{json.dumps(entry)}\n{json.dumps({**entry, 'target': [2, 15]})}\n")
+    code, out, err = run(capsys, "report", "--g", "20", "--ledger", str(lines))
+    assert (code, out) == (1, "")
     assert "malformed ledger" in err
 
 
@@ -584,7 +619,9 @@ def test_selftest_small_passes(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-@pytest.mark.parametrize("gmax", ["2", "0", "-5", str(SELFTEST_GENUS_CEILING + 1), str(10**6)])
+@pytest.mark.parametrize(
+    "gmax", ["5", "3", "2", "0", "-5", str(SELFTEST_GENUS_CEILING + 1), str(10**6)]
+)
 def test_selftest_gmax_outside_its_range_exit_2_before_any_suite(capsys, monkeypatch, gmax):
     monkeypatch.setattr("bnkappa.selfcheck.run_all", _refused)
     code, out, err = run(capsys, "selftest", "--gmax", gmax)
@@ -592,9 +629,11 @@ def test_selftest_gmax_outside_its_range_exit_2_before_any_suite(capsys, monkeyp
     assert err.startswith("error:") and "selftest --gmax" in err
     if int(gmax) > SELFTEST_GENUS_CEILING:
         assert f"capped at {SELFTEST_GENUS_CEILING}" in err
+    else:
+        assert "must be >= 6" in err
 
 
-@pytest.mark.parametrize("gmax", [3, SELFTEST_GENUS_CEILING])
+@pytest.mark.parametrize("gmax", [6, SELFTEST_GENUS_CEILING])
 def test_selftest_gmax_at_the_ends_of_its_range_runs(capsys, monkeypatch, gmax):
     calls = []
     monkeypatch.setattr("bnkappa.selfcheck.run_all",
@@ -604,9 +643,18 @@ def test_selftest_gmax_at_the_ends_of_its_range_runs(capsys, monkeypatch, gmax):
     assert out.startswith("PASS  stub: 1 passed, 0 failed")
 
 
-def test_selftest_suite_without_checks_fails(capsys):
-    # no genus in 4..5 yields a certificate, so that suite runs nothing
-    code, out, _ = run(capsys, "selftest", "--gmax", "5")
+def test_selftest_at_the_floor_runs_every_suite(capsys):
+    code, out, _ = run(capsys, "selftest", "--gmax", "6")
+    assert code == 0
+    suites = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
+    assert len(suites) == 5
+    assert all(line.startswith("PASS") for line in suites)  # PASS needs a check run
+
+
+def test_selftest_suite_without_checks_fails(capsys, monkeypatch):
+    monkeypatch.setattr("bnkappa.selfcheck.suite_certificates",
+                        lambda gmax: SuiteResult("certificate-reverification"))
+    code, out, _ = run(capsys, "selftest", "--gmax", "10")
     assert code == 3
     assert "FAIL  certificate-reverification: 0 passed, 0 failed" in out
 

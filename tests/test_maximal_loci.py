@@ -135,6 +135,14 @@ def test_kappa_at_dmax_agrees_with_both_routes():
                 assert closed == kappa_brute(g, r, d).value, (g, r)
 
 
+@given(st.data())
+@settings(max_examples=200)
+def test_kappa_at_dmax_agrees_with_kappa_at_huge_genus(data):
+    g = data.draw(st.integers(min_value=3, max_value=10**9))
+    r = data.draw(st.integers(min_value=1, max_value=r_max_expected(g)))
+    assert kappa_at_dmax(g, r) == kappa(g, r, d_max(g, r)).value
+
+
 def test_kappa_bounds_frozen():
     lower, upper = kappa_bounds(20, 2)
     assert (lower.a, lower.b, lower.m, lower.q) == (26, -6, 3, 3)

@@ -2,7 +2,16 @@
 
 from decimal import getcontext, localcontext
 
-from bnkappa.selfcheck import suite_exact_arithmetic
+from bnkappa.selfcheck import (
+    run_all,
+    suite_exact_arithmetic,
+    suite_kappa_bounds,
+    suite_maximal_degree,
+)
+
+
+def _counts(results):
+    return {r.name: (r.passed, r.failed) for r in results}
 
 
 def test_exact_arithmetic_suite_leaves_decimal_precision_alone():
@@ -12,3 +21,16 @@ def test_exact_arithmetic_suite_leaves_decimal_precision_alone():
         assert getcontext().prec == 17
     assert result.passed > 0 and result.failed == 0
 
+
+
+def test_run_all_sweeps_the_degree_suites_up_to_gmax():
+    counts = _counts(run_all(10))
+    for suite in (suite_maximal_degree(10), suite_kappa_bounds(10)):
+        assert counts[suite.name] == (suite.passed, 0)
+
+
+def test_run_all_certifies_genera_above_30():
+    assert (
+        _counts(run_all(40))["certificate-reverification"][0]
+        > _counts(run_all(30))["certificate-reverification"][0]
+    )
