@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import DomainError, InternalError
 from .exact_arith import floor_neg_2sqrt
@@ -45,7 +46,14 @@ __all__ = [
 
 @dataclass(frozen=True, order=True)
 class BNLocus:
-    """Index triple (g, r, d) of a Brill-Noether locus."""
+    """Index triple (g, r, d) of a Brill-Noether locus.
+
+    rho() and kappa() are memoized on the instance: functools.cached_property
+    computes each on first use and stores it in the instance __dict__, which
+    a frozen dataclass allows.  The memo is not a field, so equality, hashing,
+    ordering and repr see only (g, r, d).  A DomainError is not memoized, and
+    nothing is shared between instances.
+    """
 
     g: int
     r: int
@@ -57,8 +65,20 @@ class BNLocus:
         if self.r < 0 or self.d < 0:
             raise DomainError(f"rank and degree must be >= 0, got r={self.r} d={self.d}")
 
-    def rho(self) -> int:
+    @cached_property
+    def _rho(self) -> int:
         return rho(self.g, self.r, self.d)
+
+    @cached_property
+    def _kappa(self) -> "KappaResult":
+        return kappa(self.g, self.r, self.d)
+
+    def rho(self) -> int:
+        return self._rho
+
+    def kappa(self) -> "KappaResult":
+        """kappa(g, r, d) by the closed formula, computed once per instance."""
+        return self._kappa
 
     def gamma(self) -> int:
         return clifford_index(self.r, self.d)

@@ -283,8 +283,7 @@ Witness = dict[str, object]
 
 
 def _kappa_gap(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Optional[Witness]:
-    ks = bn_core.kappa(source.g, source.r, source.d).value
-    kt = bn_core.kappa(target.g, target.r, target.d).value
+    ks, kt = source.kappa().value, target.kappa().value
     return {"kappa_source": ks, "kappa_target": kt} if ks > kt else None
 
 
@@ -350,6 +349,12 @@ def _derive_certificate(
     return None
 
 
+# The two statuses without a certificate carry nothing pair-specific, so
+# every pair shares one immutable instance of each.
+_TRIVIAL_CONTAINMENT = PairStatus(StatusKind.TRIVIAL_CONTAINMENT)
+_OPEN = PairStatus(StatusKind.OPEN)
+
+
 def pair_status(
     source: BNLocus, target: BNLocus, ledger: Optional[Ledger] = None
 ) -> PairStatus:
@@ -362,20 +367,24 @@ def pair_status(
     """
     _require_admissible_pair(source, target, "pair_status")
     if target in trivial_closure(source.g, source.r, source.d):
-        return PairStatus(StatusKind.TRIVIAL_CONTAINMENT)
+        return _TRIVIAL_CONTAINMENT
     cert = _derive_certificate(source, target, ledger)
     if cert is not None:
         return PairStatus(StatusKind.ESTABLISHED, cert)
-    return PairStatus(StatusKind.OPEN)
+    return _OPEN
 
 
 def genus_report(g: int, ledger: Optional[Ledger] = None) -> GenusReport:
-    """Pair-by-pair non-containment report over all expected maximal loci."""
+    """Pair-by-pair non-containment report over all expected maximal loci.
+
+    The loci are the records' own BNLocus objects, so each locus' memoized
+    rho and kappa are computed once and read by every pair it takes part in.
+    """
     records = enumerate_expected_maximal(g)
     verdicts = []
     for a in records:
         for b in records:
-            if a.locus == b.locus:
+            if a is b:  # one locus per rank, so distinct records are distinct loci
                 continue
             verdicts.append(
                 PairVerdict(a.locus, b.locus, pair_status(a.locus, b.locus, ledger))

@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 usage or I/O error (including a malformed ledger
 and a reader that closed the output pipe), 2 domain error (inputs outside a
 function's mathematical domain, such as a `check` triple with g < 2, a scan
 rank above SCAN_RANK_CEILING, a `report` genus above REPORT_GENUS_CEILING,
-or a `selftest --gmax` below 6 or above SELFTEST_GENUS_CEILING), 3 internal
+a `maximal` or `figure` genus above MAXIMAL_GENUS_CEILING, or a `selftest
+--gmax` below 6 or above SELFTEST_GENUS_CEILING), 3 internal
 inconsistency (a cross-check that can only fail on a bug, or a selftest
 suite that failed a check or ran none).
 
@@ -182,6 +183,7 @@ _MAXIMAL_HEADERS = ["r", "d", "rho", "kappa", "lower_bound_approx", "upper_bound
 
 
 def _cmd_maximal(args) -> tuple[dict, _Output]:
+    _require_at_most("maximal --g", args.g, MAXIMAL_GENUS_CEILING, "listing")
     rows = _maximal_rows(maximal_loci.enumerate_expected_maximal(args.g))
     return {"g": args.g}, _Output(_MAXIMAL_HEADERS, rows)
 
@@ -272,6 +274,12 @@ SCAN_RANK_CEILING = 60
 # genus_report takes any genus.
 REPORT_GENUS_CEILING = 50_000
 
+# `maximal` and `figure` print one row per rank up to r_max(g), about sqrt(g)
+# rows: at g = 10^10 (100,000 rows) `maximal` takes about 2.9-4.4 s on a
+# 2-vCPU VM (JSON slowest, 18 MB), so larger genera are refused.  The
+# library's enumerate_expected_maximal takes any genus.
+MAXIMAL_GENUS_CEILING = 10**10
+
 # The kappa oracle suite checks closed against brute kappa on every admissible
 # triple up to --gmax, about gmax^3/12 of them at O(log g) each: `selftest
 # --gmax 160` takes about 4.3-4.8 s on a 2-vCPU VM (about 4 s of it in that
@@ -311,6 +319,7 @@ _FIGURE_HEADERS = ["r", "d_max", "rho", "kappa", "lower_bound_approx", "upper_bo
 
 
 def _cmd_figure(args) -> int:
+    _require_at_most("figure --g", args.g, MAXIMAL_GENUS_CEILING, "listing")
     rows = _maximal_rows(maximal_loci.enumerate_expected_maximal(args.g))
     text = _csv_text(_FIGURE_HEADERS, rows)
     if args.out is None:

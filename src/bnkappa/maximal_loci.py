@@ -162,13 +162,13 @@ def enumerate_expected_maximal(g: int) -> list[MaximalLocusRecord]:
         raise InternalError(f"rank range at g={g} does not end at r_max_expected = {top}")
     records = []
     for r in range(1, top + 1):
-        d = d_max(g, r)
+        locus = BNLocus(g, r, d_max(g, r))
         lower, upper = kappa_bounds(g, r)
         records.append(
             MaximalLocusRecord(
-                locus=BNLocus(g, r, d),
+                locus=locus,
                 rho=rho_at_dmax(g, r),
-                kappa=bn_core.kappa(g, r, d),
+                kappa=locus.kappa(),  # the locus' memo: a report's pairs share it
                 lower_bound=lower,
                 upper_bound=upper,
             )

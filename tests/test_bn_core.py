@@ -1,8 +1,11 @@
 """Core numerology: rho, the k-gonal refinement, kappa two ways, duality,
 and the step-by-step search that is the oracle for the trivial closure."""
 
+import dataclasses
+from math import isqrt
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bnkappa import bn_core
@@ -306,6 +309,53 @@ def test_kappa_at_least_2_and_at_most_general_gonality():
         assert 2 <= value <= general_gonality(g)
         assert d - 2 * r >= 0
         assert rho_pflueger(g, r, d, 2) >= 0
+
+
+# ---------------------------------------------------------------------------
+# the memo on BNLocus
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_locus_memo_equals_the_functions_at_huge_genus(data):
+    g = data.draw(st.integers(3, 10**9), label="g")
+    r = data.draw(st.integers(1, min(g - 2, isqrt(g) + 1)) | st.integers(1, g - 2), label="r")
+    hi = min(d_max(g, r), 2 * g - 2)
+    assume(2 * r <= hi)
+    d = data.draw(st.integers(2 * r, hi), label="d")
+    locus = BNLocus(g, r, d)
+    want_rho, want_kappa = bn_core.rho(g, r, d), bn_core.kappa(g, r, d)
+    assert want_rho < 0
+    for _ in range(2):  # the first call computes, the second reads the memo
+        assert locus.rho() == want_rho
+        assert locus.kappa() == want_kappa
+
+
+@pytest.mark.parametrize("g, r, d", [
+    (5, 1, 9),  # d > 2g - 2: rho >= 0, so kappa is undefined
+    (10, 5, 8),  # rho < 0 but d < 2r: no closed value
+])
+def test_locus_kappa_outside_its_domain_raises_on_every_call(g, r, d):
+    with pytest.raises(DomainError) as expected:
+        kappa(g, r, d)
+    locus = BNLocus(g, r, d)
+    for _ in range(3):
+        with pytest.raises(DomainError) as raised:
+            locus.kappa()
+        assert str(raised.value) == str(expected.value)
+
+
+def test_used_and_fresh_loci_are_indistinguishable():
+    used, fresh, other = BNLocus(20, 3, 17), BNLocus(20, 3, 17), BNLocus(20, 2, 14)
+    used.rho(), used.kappa()
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) == "BNLocus(g=20, r=3, d=17)"
+    assert str(used) == str(fresh)
+    assert not used < fresh and not fresh < used
+    assert sorted([used, other]) == sorted([fresh, other]) == [other, fresh]
+    assert {used: 1}[fresh] == 1
+    assert dataclasses.astuple(used) == (20, 3, 17)
+    assert tuple(f.name for f in dataclasses.fields(BNLocus)) == ("g", "r", "d")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Non-containment certificates, pair statuses, reports, and the ledger."""
 
+import dataclasses
 import json
 
 import pytest
 
-from bnkappa import certificates
+from bnkappa import bn_core, certificates
 from bnkappa.bn_core import BNLocus, clifford_index, rho
 from bnkappa.certificates import (
     Ledger,
@@ -234,6 +235,53 @@ def test_established_and_trivial_containment_disjoint():
 
 
 # ---------------------------------------------------------------------------
+# each locus' kappa is computed once, by its memo
+
+
+def _count_kappa(monkeypatch):
+    calls = []
+    real = bn_core.kappa
+
+    def counted(g, r, d):
+        calls.append((g, r, d))
+        return real(g, r, d)
+
+    monkeypatch.setattr("bnkappa.bn_core.kappa", counted)
+    return calls
+
+
+def test_genus_report_computes_kappa_once_per_locus(monkeypatch):
+    calls = _count_kappa(monkeypatch)
+    report = genus_report(400)
+    loci = [(rec.locus.g, rec.locus.r, rec.locus.d) for rec in report.loci]
+    assert len(loci) == 19 and len(report.pairs) == 19 * 18
+    assert calls == loci
+    genus_report(400)  # a new report builds new loci: nothing is cached across calls
+    assert calls == loci + loci
+
+
+@pytest.mark.parametrize("source, target, rule", [
+    ((20, 3, 17), (20, 4, 19), Rule.KAPPA_GAP),
+    ((11, 2, 9), (11, 1, 6), Rule.EQUIDIMENSIONAL_FLIP),  # derives the reverse pair too
+    ((21, 3, 18), (21, 4, 20), None),  # open: every rule is tried
+])
+def test_pair_status_computes_each_kappa_at_most_once(monkeypatch, source, target, rule):
+    calls = _count_kappa(monkeypatch)
+    status = pair_status(BNLocus(*source), BNLocus(*target))
+    assert (status.certificate.rule if status.certificate else None) is rule
+    assert len(calls) <= 2 and len(set(calls)) == len(calls)
+
+
+def test_statuses_without_a_certificate_are_shared():
+    report = genus_report(21)
+    opens = [v.status for v in report.pairs if v.status.kind is StatusKind.OPEN]
+    assert len(opens) > 1 and all(s is opens[0] for s in opens)
+    trivial = pair_status(BNLocus(20, 3, 16), BNLocus(20, 3, 17))
+    assert trivial.kind is StatusKind.TRIVIAL_CONTAINMENT and trivial.certificate is None
+    assert pair_status(BNLocus(20, 2, 13), BNLocus(20, 2, 14)) is trivial
+
+
+# ---------------------------------------------------------------------------
 # invariant sweeps
 
 
@@ -304,6 +352,25 @@ def test_all_report_certificates_verify(ledger):
             cert = verdict.status.certificate
             if cert is not None:
                 assert cert.verify(ledger), (verdict.source, verdict.target)
+
+
+def test_verify_answers_alike_on_report_loci_and_fresh_copies(ledger):
+    for g in (20, 21, 60):
+        for verdict in genus_report(g, ledger).pairs:
+            cert = verdict.status.certificate
+            if cert is None:
+                continue
+            fresh = dataclasses.replace(
+                cert,
+                source=BNLocus(*dataclasses.astuple(cert.source)),
+                target=BNLocus(*dataclasses.astuple(cert.target)),
+            )
+            assert fresh.source is not cert.source and fresh == cert
+            assert cert.verify(ledger) is fresh.verify(ledger) is True
+            assert cert.verify() is fresh.verify()
+            swapped = dataclasses.replace(cert, source=cert.target, target=cert.source)
+            fresh_swapped = dataclasses.replace(fresh, source=fresh.target, target=fresh.source)
+            assert swapped.verify(ledger) is fresh_swapped.verify(ledger)
 
 
 def test_corrupted_witnesses_fail_verification(ledger):

@@ -13,6 +13,7 @@ from bnkappa import maximal_loci
 from bnkappa.bn_core import KappaBranch, KappaResult
 from bnkappa.certificates import GenusReport, TrivialClosure
 from bnkappa.cli import (
+    MAXIMAL_GENUS_CEILING,
     REPORT_GENUS_CEILING,
     SCAN_RANK_CEILING,
     SELFTEST_GENUS_CEILING,
@@ -395,6 +396,41 @@ def test_report_at_the_ceiling_runs(capsys, monkeypatch):
     code, out, _ = run(capsys, "report", "--g", str(REPORT_GENUS_CEILING), "--format", "json")
     assert (code, calls) == (0, [REPORT_GENUS_CEILING])
     assert json.loads(out)["result"]["g"] == REPORT_GENUS_CEILING
+
+
+@pytest.mark.parametrize("argv", [
+    ("maximal", "--g", str(MAXIMAL_GENUS_CEILING + 1)),
+    ("maximal", "--g", str(MAXIMAL_GENUS_CEILING + 1), "--format", "json"),
+    ("maximal", "--g", str(10**12), "--format", "csv"),
+    ("figure", "--g", str(MAXIMAL_GENUS_CEILING + 1)),
+])
+def test_maximal_and_figure_above_the_ceiling_exit_2_before_any_work(capsys, monkeypatch, argv):
+    monkeypatch.setattr("bnkappa.maximal_loci.enumerate_expected_maximal", _refused)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {argv[0]} --g is capped at {MAXIMAL_GENUS_CEILING} to bound the "
+                   f"listing's cost, got {argv[2]}\n")
+
+
+def test_figure_above_the_ceiling_writes_no_file(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr("bnkappa.maximal_loci.enumerate_expected_maximal", _refused)
+    out = tmp_path / "fig.csv"
+    code, _, err = run(capsys, "figure", "--g", str(MAXIMAL_GENUS_CEILING + 1), "--out", str(out))
+    assert code == 2 and f"capped at {MAXIMAL_GENUS_CEILING}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("maximal", "--g", str(MAXIMAL_GENUS_CEILING), "--format", "csv"),
+    ("figure", "--g", str(MAXIMAL_GENUS_CEILING)),
+])
+def test_maximal_and_figure_at_the_ceiling_run(capsys, monkeypatch, argv):
+    calls, records = [], maximal_loci.enumerate_expected_maximal(20)
+    monkeypatch.setattr("bnkappa.maximal_loci.enumerate_expected_maximal",
+                        lambda g: calls.append(g) or records)
+    code, out, _ = run(capsys, *argv)
+    assert (code, calls) == (0, [MAXIMAL_GENUS_CEILING])
+    assert len(out.splitlines()) == 1 + len(records)
 
 
 def test_check_at_huge_genus_never_walks_the_closure(capsys, monkeypatch):
