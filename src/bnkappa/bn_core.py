@@ -44,6 +44,14 @@ __all__ = [
 ]
 
 
+def _require_locus(g: int, r: int, d: int) -> None:
+    """Raise DomainError unless (g, r, d) indexes a locus: g >= 2, r, d >= 0."""
+    if g < 2:
+        raise DomainError(f"genus must be >= 2, got {g}")
+    if r < 0 or d < 0:
+        raise DomainError(f"rank and degree must be >= 0, got r={r} d={d}")
+
+
 @dataclass(frozen=True, order=True)
 class BNLocus:
     """Index triple (g, r, d) of a Brill-Noether locus.
@@ -60,10 +68,7 @@ class BNLocus:
     d: int
 
     def __post_init__(self) -> None:
-        if self.g < 2:
-            raise DomainError(f"genus must be >= 2, got {self.g}")
-        if self.r < 0 or self.d < 0:
-            raise DomainError(f"rank and degree must be >= 0, got r={self.r} d={self.d}")
+        _require_locus(self.g, self.r, self.d)
 
     @cached_property
     def _rho(self) -> int:
@@ -122,7 +127,9 @@ def clifford_index(r: int, d: int) -> int:
 
 def r_prime(g: int, r: int, d: int) -> int:
     """Rank cutoff min(r, g - d + r - 1) for the k-gonal adjustment."""
-    return min(r, g - d + r - 1)
+    # a comparison, not min(): rho_pflueger calls this on every probe
+    top = g - d + r - 1
+    return r if r <= top else top
 
 
 def general_gonality(g: int) -> int:
@@ -212,14 +219,26 @@ def kappa_closed(g: int, r: int, d: int) -> KappaResult:
         raise DomainError(f"kappa_closed requires r >= 1, got {r}")
     if d > g - 1:
         raise DomainError(f"kappa_closed requires d <= g - 1, got d={d}, g={g}")
+    return _closed_formula(
+        g, r, d, rv, KappaBranch.CLOSED_FIRST_CASE, KappaBranch.CLOSED_SECOND_CASE
+    )
+
+
+def _closed_formula(
+    g: int, r: int, d: int, rv: int, first: KappaBranch, second: KappaBranch
+) -> KappaResult:
+    """kappa_closed's formula on (g, r, d), its two cases labelled first, second.
+
+    The caller has checked rv = rho(g, r, d) < 0, r >= 1 and d <= g - 1;
+    this checks gamma >= 0.
+    """
     gamma = clifford_index(r, d)
     if gamma < 0:
         raise DomainError(f"kappa_closed requires d - 2r >= 0, got {gamma}")
     fl = d // r
     if g + 1 > fl + d:
-        return KappaResult(fl, KappaBranch.CLOSED_FIRST_CASE, rv, gamma)
-    value = g + 1 - gamma + floor_neg_2sqrt(-rv)
-    return KappaResult(value, KappaBranch.CLOSED_SECOND_CASE, rv, gamma)
+        return KappaResult(fl, first, rv, gamma)
+    return KappaResult(g + 1 - gamma + floor_neg_2sqrt(-rv), second, rv, gamma)
 
 
 def serre_dual(g: int, r: int, d: int) -> BNLocus:
@@ -240,16 +259,22 @@ def kappa(g: int, r: int, d: int) -> KappaResult:
 
     For d <= g - 1 this is kappa_closed.  For d > g - 1 the Serre-dual locus
     has degree 2g - 2 - d <= g - 1 and the same rho and Clifford index, so
-    the closed formula is applied there (branch SERRE_DUAL_REDUCTION).  When
-    the dual does not exist or lies outside the formula's domain, its
-    DomainError propagates: with rho < 0 that happens exactly when d < 2r,
-    g - d + r <= 1 or d > 2g - 2, where kappa_brute has no value either.
+    the closed formula is evaluated once there, with the rho already in hand
+    (branch SERRE_DUAL_REDUCTION).  A rank-0 locus has rho = d >= 0, so
+    rho < 0 gives rank >= 1 on both sides, and kappa_closed's checks reduce
+    to gamma >= 0.  A dual that does not exist raises serre_dual's
+    DomainError, and gamma < 0 raises kappa_closed's: with rho < 0 that
+    happens exactly when d < 2r, g - d + r <= 1 or d > 2g - 2, where
+    kappa_brute has no value either.
     """
     rv = rho(g, r, d)
     if rv >= 0:
         raise DomainError(f"kappa undefined outside rho < 0: rho({g},{r},{d}) = {rv}")
     if d <= g - 1:
-        return kappa_closed(g, r, d)
+        return _closed_formula(
+            g, r, d, rv, KappaBranch.CLOSED_FIRST_CASE, KappaBranch.CLOSED_SECOND_CASE
+        )
     dual = serre_dual(g, r, d)
-    res = kappa_closed(dual.g, dual.r, dual.d)
-    return KappaResult(res.value, KappaBranch.SERRE_DUAL_REDUCTION, rv, clifford_index(r, d))
+    return _closed_formula(
+        g, dual.r, dual.d, rv, KappaBranch.SERRE_DUAL_REDUCTION, KappaBranch.SERRE_DUAL_REDUCTION
+    )

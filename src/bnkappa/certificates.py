@@ -216,7 +216,7 @@ class TrivialClosure(Set[BNLocus]):
     __slots__ = ("g", "r", "d")
 
     def __init__(self, g: int, r: int, d: int):
-        BNLocus(g, r, d)  # an invalid start raises DomainError
+        bn_core._require_locus(g, r, d)
         self.g, self.r, self.d = g, r, d
 
     def degrees(self, s: int) -> range:
@@ -226,7 +226,9 @@ class TrivialClosure(Set[BNLocus]):
             return range(0)
         if s == r:
             return range(d + 1, 2 * g - 1)
-        x = max(d - (r - s), 0)
+        x = d - (r - s)
+        if x < 0:  # a comparison, not max(): pair_status asks this once per pair
+            x = 0
         return range(x, 2 * g - 1) if bn_core.rho(g, s, x) < 0 else range(0)
 
     def __contains__(self, target: object) -> bool:

@@ -37,7 +37,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import __version__, bn_core, maximal_loci, selfcheck
+from . import __version__, bn_core, maximal_loci
 from .bn_core import BNLocus
 from .certificates import (
     Ledger,
@@ -269,9 +269,9 @@ def _cmd_check(args) -> tuple[dict, _Output]:
 SCAN_RANK_CEILING = 60
 
 # A report has about g pairs (r_max(g)^2 with r_max about sqrt(g)), so its
-# cost is about linear in g: `report --g 50000` takes about 1.6-2.6 s on a
-# 2-vCPU VM (JSON slowest), so larger genera are refused.  The library's
-# genus_report takes any genus.
+# cost is about linear in g: `report --g 50000` takes about 1.4-1.8 s as a
+# table or CSV and 2.9-3.2 s as JSON on a 2-vCPU VM, so larger genera are
+# refused.  The library's genus_report takes any genus.
 REPORT_GENUS_CEILING = 50_000
 
 # `maximal` and `figure` print one row per rank up to r_max(g), about sqrt(g)
@@ -342,6 +342,8 @@ def _cmd_selftest(args) -> int:
             f"loci, got {args.gmax}"
         )
     _require_at_most("selftest --gmax", args.gmax, SELFTEST_GENUS_CEILING, "sweep")
+    from . import selfcheck  # only selftest needs it (and its decimal import)
+
     results = selfcheck.run_all(args.gmax)
     text, ok = selfcheck.render(results)
     print(text)

@@ -71,6 +71,15 @@ def test_r_prime_frozen():
     assert r_prime(20, 5, 21) == min(5, 20 - 21 + 5 - 1)
 
 
+@given(
+    st.integers(-10**12, 10**12),
+    st.integers(-10**12, 10**12) | st.integers(-5, 5),
+    st.integers(-10**12, 10**12),
+)
+def test_r_prime_is_the_min_of_its_two_cutoffs(g, r, d):
+    assert r_prime(g, r, d) == min(r, g - d + r - 1)
+
+
 def test_general_gonality():
     assert general_gonality(4) == 3
     assert general_gonality(20) == 11
@@ -295,6 +304,88 @@ def test_kappa_without_a_closed_value_raises_without_brute_force(monkeypatch, g,
     monkeypatch.setattr(bn_core, "kappa_brute", fail)
     with pytest.raises(DomainError):
         kappa(g, r, d)
+
+
+def kappa_two_step(g, r, d):
+    """kappa's oracle: kappa_closed itself for d <= g - 1, and for d > g - 1
+    kappa_closed on serre_dual's indices, wrapped in a second result.
+
+    For rho >= 0, kappa_closed raises the error kappa raises.
+    """
+    rv = rho(g, r, d)
+    if d <= g - 1 or rv >= 0:
+        return kappa_closed(g, r, d)
+    dual = kappa_closed(*dataclasses.astuple(serre_dual(g, r, d)))
+    return KappaResult(dual.value, KappaBranch.SERRE_DUAL_REDUCTION, rv, clifford_index(r, d))
+
+
+def _outcome(fn, g, r, d):
+    try:
+        return fn(g, r, d)
+    except DomainError as exc:
+        return str(exc)
+
+
+KAPPA_ERRORS = (
+    "rho requires g >= 2, r >= 0, d >= 0",
+    "kappa undefined outside rho < 0",
+    "Serre dual of",
+    "kappa_closed requires d - 2r >= 0",
+)
+
+
+def test_kappa_equals_the_two_step_route_on_every_small_triple():
+    # in and out of the domain, negative indices and g < 2 included
+    seen = set()
+    for g in range(0, 61):
+        for r in range(-1, g + 3):
+            for d in range(-1, 2 * g + 3):
+                want = _outcome(kappa_two_step, g, r, d)
+                assert _outcome(kappa, g, r, d) == want, (g, r, d)
+                if isinstance(want, str):
+                    seen.update(p for p in KAPPA_ERRORS if want.startswith(p))
+                    assert want.startswith(KAPPA_ERRORS), want
+    assert seen == set(KAPPA_ERRORS)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_kappa_on_the_dual_route_equals_the_two_step_route_at_huge_genus(data):
+    g = data.draw(st.integers(3, 10**9), label="g")
+    r = data.draw(st.integers(max(1, isqrt(g) - 2), g - 2) | st.integers(1, g - 2), label="r")
+    lo, hi = max(g, 2 * r), min(d_max(g, r), 2 * g - 2)
+    assume(lo <= hi)
+    d = data.draw(st.integers(lo, hi), label="d")
+    want = kappa_two_step(g, r, d)
+    assert want.branch == KappaBranch.SERRE_DUAL_REDUCTION and want.rho < 0
+    assert kappa(g, r, d) == want
+
+
+@pytest.mark.parametrize("g, r, d, branch", [
+    (20, 5, 21, KappaBranch.SERRE_DUAL_REDUCTION),
+    (10**9, 10**8, 10**9, KappaBranch.SERRE_DUAL_REDUCTION),
+    (20, 3, 17, KappaBranch.CLOSED_SECOND_CASE),
+    (4, 1, 2, KappaBranch.CLOSED_FIRST_CASE),
+])
+def test_kappa_builds_one_result_and_computes_rho_once(monkeypatch, g, r, d, branch):
+    results, rhos = [], []
+    original_rho = bn_core.rho
+
+    def counted_result(*args):
+        results.append(args)
+        return KappaResult(*args)
+
+    def counted_rho(*args):
+        rhos.append(args)
+        return original_rho(*args)
+
+    want = kappa(g, r, d)
+    monkeypatch.setattr(bn_core, "KappaResult", counted_result)
+    monkeypatch.setattr(bn_core, "rho", counted_rho)
+    assert kappa(g, r, d) == want
+    assert want.branch == branch
+    assert len(results) == 1
+    assert rhos == [(g, r, d)]
 
 
 def test_kappa_oracle_equivalence_small():
@@ -539,5 +630,8 @@ def test_trivial_closure_len_is_the_walks_size():
 
 def test_trivial_closure_rejects_an_invalid_start():
     for g, r, d in ((1, 1, 0), (20, -1, 5), (20, 3, -1)):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as expected:
+            BNLocus(g, r, d)
+        with pytest.raises(DomainError) as raised:
             trivial_closure(g, r, d)
+        assert str(raised.value) == str(expected.value)

@@ -732,6 +732,24 @@ def test_module_invocation_subprocess():
     assert proc.stdout == "5\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["kappa", "--g", "20", "--r", "5", "--d", "21"],
+    ["check", "--source", "20,2,13", "--target", "20,3,16"],
+])
+def test_kappa_and_check_run_without_importing_selfcheck(argv):
+    # only selftest imports selfcheck (and, through it, decimal)
+    code = (
+        "import sys\n"
+        "from bnkappa import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print('bnkappa.selfcheck' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_closed_output_pipe_exits_1_without_traceback():
     # report --g 400 prints about 107 KB, more than a 64 KiB pipe buffer holds,
     # so the writer is still blocked when the reader goes away
