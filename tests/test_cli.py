@@ -605,6 +605,30 @@ def test_scan_at_the_ceiling_runs(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# JSON inputs: every parsed flag by its dest name, in parser order, but --format
+
+
+@pytest.mark.parametrize("argv, inputs", [
+    (("gamma", "--r", "3", "--d", "17"), '{\n    "r": 3,\n    "d": 17\n  }'),
+    (("rhok", "--g", "20", "--r", "3", "--d", "17", "--k", "6"),
+     '{\n    "g": 20,\n    "r": 3,\n    "d": 17,\n    "k": 6\n  }'),
+    (("dmax", "--g", "20", "--r", "3"), '{\n    "g": 20,\n    "r": 3\n  }'),
+    (("maximal", "--g", "20"), '{\n    "g": 20\n  }'),
+    (("report", "--g", "20"), '{\n    "g": 20,\n    "ledger": null\n  }'),
+    (("report", "--ledger", LEDGER, "--g", "20"),
+     '{\n    "g": 20,\n    "ledger": "data/known.json"\n  }'),
+    (("exceptional", "--s-range", "lemma", "--r", "2"),
+     '{\n    "r": 2,\n    "s_range": "lemma"\n  }'),
+])
+def test_json_inputs_frozen(capsys, argv, inputs):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out.startswith(
+        f'{{\n  "command": "{argv[0]}",\n  "inputs": {inputs},\n  "result": '
+    )
+
+
+# ---------------------------------------------------------------------------
 # figure
 
 
