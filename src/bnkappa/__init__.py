@@ -12,52 +12,20 @@ The package computes, entirely in exact integer arithmetic:
   conjecture reports.
 """
 
-from .bn_core import (
-    BNLocus,
-    KappaBranch,
-    KappaResult,
-    clifford_index,
-    general_gonality,
-    kappa,
-    kappa_brute,
-    kappa_closed,
-    r_prime,
-    rho,
-    rho_pflueger,
-    serre_dual,
-)
-from .certificates import (
-    GenusReport,
-    Ledger,
-    LedgerEntry,
-    LedgerError,
-    NonContainmentCertificate,
-    PairStatus,
-    PairVerdict,
-    Rule,
-    StatusKind,
-    genus_report,
-    load_ledger,
-    pair_status,
-    trivial_closure,
-)
-from .errors import DomainError, InternalError
-from .exact_arith import Surd, ceil_2sqrt, floor_neg_2sqrt, isqrt, surd_sign
-from .maximal_loci import (
-    MaximalLocusRecord,
-    SRange,
-    compute_G,
-    d_max,
-    enumerate_expected_maximal,
-    exceptional_genera,
-    f_criterion,
-    genus_threshold_holds,
-    ineq_holds_all_s,
-    is_expected_maximal,
-    kappa_at_dmax,
-    kappa_bounds,
-    r_max_expected,
-    rho_at_dmax,
-)
+from . import bn_core, certificates, errors, exact_arith, maximal_loci
+from .bn_core import *
+from .certificates import *
+from .errors import *
+from .exact_arith import *
+from .maximal_loci import *
+
+# each engine module's __all__ is its one list of public names
+__all__ = [
+    *errors.__all__,
+    *exact_arith.__all__,
+    *bn_core.__all__,
+    *maximal_loci.__all__,
+    *certificates.__all__,
+]
 
 __version__ = "0.1.0"

@@ -58,6 +58,7 @@ __all__ = [
     "PairVerdict",
     "GenusReport",
     "Ledger",
+    "LedgerEntry",
     "LedgerError",
     "load_ledger",
     "TrivialClosure",

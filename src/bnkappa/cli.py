@@ -18,7 +18,10 @@ suite that failed a check or ran none).
 Output formats, chosen with --format on every command except `figure`
 (always CSV) and `selftest` (always text): `table` (human-readable,
 default), `json` (one document: {"command", "inputs", "result"}), `csv`
-(RFC 4180, header row included).  Each formatted command builds one
+(RFC 4180, header row included).  The parser is each command's one
+declaration: the JSON "inputs" are every parsed flag by its dest name
+except --format, and the scalar commands call their library function with
+those inputs as keywords.  Each formatted command builds one
 `_Output` and `_emit` renders it: the JSON result of a row-shaped command is
 one object per CSV row, keyed by the CSV headers; `kappa`, `check`,
 `report`, `exceptional` and the scalar commands give their own result shape.
@@ -108,12 +111,21 @@ def _table_text(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str
     return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells)
 
 
-def _emit(args: argparse.Namespace, inputs: dict, out: _Output) -> int:
+# the parsed flags that are not a command's inputs
+_NOT_INPUTS = ("command", "func", "format")
+
+
+def _inputs(args: argparse.Namespace) -> dict:
+    """Every parsed flag of the command by its dest name, in parser order."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}
+
+
+def _emit(args: argparse.Namespace, out: _Output) -> int:
     if args.format == "json":
         doc = out.doc
         if doc is None:
             doc = [dict(zip(out.headers, row)) for row in out.rows]
-        result = {"command": args.command, "inputs": inputs, "result": doc}
+        result = {"command": args.command, "inputs": _inputs(args), "result": doc}
         print(json.dumps(result, indent=2))
     elif args.format == "csv":
         sys.stdout.write(_csv_text(out.headers, out.rows))
@@ -134,24 +146,10 @@ def _witness_text(witness) -> str:
 # commands
 
 
-def _cmd_rho(args) -> tuple[dict, _Output]:
-    inputs = {"g": args.g, "r": args.r, "d": args.d}
-    return inputs, _scalar(bn_core.rho(args.g, args.r, args.d))
-
-
-def _cmd_gamma(args) -> tuple[dict, _Output]:
-    return {"r": args.r, "d": args.d}, _scalar(bn_core.clifford_index(args.r, args.d))
-
-
-def _cmd_rhok(args) -> tuple[dict, _Output]:
-    inputs = {"g": args.g, "r": args.r, "d": args.d, "k": args.k}
-    return inputs, _scalar(bn_core.rho_pflueger(args.g, args.r, args.d, args.k))
-
-
 _KAPPA_HEADERS = ["method", "value", "branch", "rho", "gamma"]
 
 
-def _cmd_kappa(args) -> tuple[dict, _Output]:
+def _cmd_kappa(args) -> _Output:
     g, r, d = args.g, args.r, args.d
     closed, brute = bn_core.kappa(g, r, d), bn_core.kappa_brute(g, r, d)
     if closed.value != brute.value:
@@ -164,11 +162,7 @@ def _cmd_kappa(args) -> tuple[dict, _Output]:
     ]
     doc = {row[0]: dict(zip(_KAPPA_HEADERS[1:], row[1:])) for row in rows}
     doc["value"] = closed.value
-    return {"g": g, "r": r, "d": d}, _Output(_KAPPA_HEADERS, rows, doc=doc, text=str(closed.value))
-
-
-def _cmd_dmax(args) -> tuple[dict, _Output]:
-    return {"g": args.g, "r": args.r}, _scalar(maximal_loci.d_max(args.g, args.r))
+    return _Output(_KAPPA_HEADERS, rows, doc=doc, text=str(closed.value))
 
 
 def _maximal_rows(records: Sequence[MaximalLocusRecord]) -> list:
@@ -182,10 +176,10 @@ def _maximal_rows(records: Sequence[MaximalLocusRecord]) -> list:
 _MAXIMAL_HEADERS = ["r", "d", "rho", "kappa", "lower_bound_approx", "upper_bound_approx"]
 
 
-def _cmd_maximal(args) -> tuple[dict, _Output]:
-    _require_at_most("maximal --g", args.g, MAXIMAL_GENUS_CEILING, "listing")
+def _cmd_maximal(args) -> _Output:
+    _require_at_most(f"{args.command} --g", args.g, MAXIMAL_GENUS_CEILING, "listing")
     rows = _maximal_rows(maximal_loci.enumerate_expected_maximal(args.g))
-    return {"g": args.g}, _Output(_MAXIMAL_HEADERS, rows)
+    return _Output(_MAXIMAL_HEADERS, rows)
 
 
 def _load_ledger_arg(args) -> Optional[Ledger]:
@@ -212,7 +206,7 @@ def _status_doc(status: PairStatus) -> dict:
     }
 
 
-def _cmd_report(args) -> tuple[dict, _Output]:
+def _cmd_report(args) -> _Output:
     _require_at_most("report --g", args.g, REPORT_GENUS_CEILING, "report")
     report = genus_report(args.g, _load_ledger_arg(args))
     loci_rows = _maximal_rows(report.loci)
@@ -247,20 +241,18 @@ def _cmd_report(args) -> tuple[dict, _Output]:
         "",
         f"conjecture at genus {args.g}: {verdict}",
     ])
-    inputs = {"g": args.g, "ledger": args.ledger}
-    return inputs, _Output(_PAIR_HEADERS, pair_rows, doc=doc, text=text)
+    return _Output(_PAIR_HEADERS, pair_rows, doc=doc, text=text)
 
 
-def _cmd_check(args) -> tuple[dict, _Output]:
+def _cmd_check(args) -> _Output:
     source, target = BNLocus(*args.source), BNLocus(*args.target)
     status = pair_status(source, target, _load_ledger_arg(args))
-    inputs = {"source": list(args.source), "target": list(args.target), "ledger": args.ledger}
     cert = status.certificate
     text = f"{source} vs {target}: {status.kind.value}"
     if cert:
         text += f" rule={cert.rule.value} {_witness_text(cert.witness)}"
     row = _pair_row(PairVerdict(source, target, status))
-    return inputs, _Output(_PAIR_HEADERS, [row], doc=_status_doc(status), text=text)
+    return _Output(_PAIR_HEADERS, [row], doc=_status_doc(status), text=text)
 
 
 # The scans grow as r^2.5: `gtable --r-max 60` takes about 5 s on a 2-vCPU
@@ -295,7 +287,7 @@ def _require_at_most(option: str, value: int, ceiling: int, work: str) -> None:
         )
 
 
-def _cmd_gtable(args) -> tuple[dict, _Output]:
+def _cmd_gtable(args) -> _Output:
     if not 2 <= args.r_min <= args.r_max:
         raise _UsageError("gtable requires 2 <= r-min <= r-max")
     _require_at_most("gtable --r-max", args.r_max, SCAN_RANK_CEILING, "scan")
@@ -303,25 +295,21 @@ def _cmd_gtable(args) -> tuple[dict, _Output]:
     rows = [
         [r, maximal_loci.compute_G(r, s_range)] for r in range(args.r_min, args.r_max + 1)
     ]
-    inputs = {"r_min": args.r_min, "r_max": args.r_max, "s_range": args.s_range}
-    return inputs, _Output(["r", "G"], rows)
+    return _Output(["r", "G"], rows)
 
 
-def _cmd_exceptional(args) -> tuple[dict, _Output]:
+def _cmd_exceptional(args) -> _Output:
     _require_at_most("exceptional --r", args.r, SCAN_RANK_CEILING, "scan")
     genera = maximal_loci.exceptional_genera(args.r, SRange(args.s_range))
-    inputs = {"r": args.r, "s_range": args.s_range}
     text = " ".join(str(g) for g in genera)
-    return inputs, _Output(["g"], [[g] for g in genera], doc=genera, text=text)
+    return _Output(["g"], [[g] for g in genera], doc=genera, text=text)
 
 
 _FIGURE_HEADERS = ["r", "d_max", "rho", "kappa", "lower_bound_approx", "upper_bound_approx"]
 
 
 def _cmd_figure(args) -> int:
-    _require_at_most("figure --g", args.g, MAXIMAL_GENUS_CEILING, "listing")
-    rows = _maximal_rows(maximal_loci.enumerate_expected_maximal(args.g))
-    text = _csv_text(_FIGURE_HEADERS, rows)
+    text = _csv_text(_FIGURE_HEADERS, _cmd_maximal(args).rows)
     if args.out is None:
         sys.stdout.write(text)
         return 0
@@ -362,41 +350,31 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name: str, func, help_: str, formats: bool = True) -> _Parser:
-        # a formatted command returns (inputs, _Output) and _emit renders it
+    def add(name: str, func, help_: str, ints: str = "", formats: bool = True) -> _Parser:
+        # a formatted command returns an _Output and _emit renders it; `ints`
+        # names the command's required integer flags
         p = sub.add_parser(name, help=help_)
         if formats:
-            p.set_defaults(func=lambda args: _emit(args, *func(args)))
+            p.set_defaults(func=lambda args: _emit(args, func(args)))
             p.add_argument("--format", choices=("table", "json", "csv"), default="table")
         else:
             p.set_defaults(func=func)
+        for flag in ints.split():
+            p.add_argument(f"--{flag}", type=int, required=True)
         return p
 
-    p = add("rho", _cmd_rho, "Brill-Noether number g - (r+1)(g-d+r)")
-    for flag in ("--g", "--r", "--d"):
-        p.add_argument(flag, type=int, required=True)
+    def scalar(name: str, fn, help_: str, ints: str) -> None:
+        # the flags are fn's parameter names, so its inputs are its keywords
+        add(name, lambda args: _scalar(fn(**_inputs(args))), help_, ints)
 
-    p = add("gamma", _cmd_gamma, "Clifford index d - 2r")
-    for flag in ("--r", "--d"):
-        p.add_argument(flag, type=int, required=True)
+    scalar("rho", bn_core.rho, "Brill-Noether number g - (r+1)(g-d+r)", "g r d")
+    scalar("gamma", bn_core.clifford_index, "Clifford index d - 2r", "r d")
+    scalar("rhok", bn_core.rho_pflueger, "k-gonal Brill-Noether number", "g r d k")
+    add("kappa", _cmd_kappa, "gonality invariant of a locus with rho < 0", "g r d")
+    scalar("dmax", maximal_loci.d_max, "largest degree with rho < 0 at fixed g, r", "g r")
+    add("maximal", _cmd_maximal, "expected maximal loci at a genus", "g")
 
-    p = add("rhok", _cmd_rhok, "k-gonal Brill-Noether number")
-    for flag in ("--g", "--r", "--d", "--k"):
-        p.add_argument(flag, type=int, required=True)
-
-    p = add("kappa", _cmd_kappa, "gonality invariant of a locus with rho < 0")
-    for flag in ("--g", "--r", "--d"):
-        p.add_argument(flag, type=int, required=True)
-
-    p = add("dmax", _cmd_dmax, "largest degree with rho < 0 at fixed g, r")
-    for flag in ("--g", "--r"):
-        p.add_argument(flag, type=int, required=True)
-
-    p = add("maximal", _cmd_maximal, "expected maximal loci at a genus")
-    p.add_argument("--g", type=int, required=True)
-
-    p = add("report", _cmd_report, "pairwise non-containment report at a genus")
-    p.add_argument("--g", type=int, required=True)
+    p = add("report", _cmd_report, "pairwise non-containment report at a genus", "g")
     p.add_argument("--ledger", default=None, help="JSON ledger of published facts")
 
     p = add("check", _cmd_check, "certificate query for one ordered pair")
@@ -409,14 +387,11 @@ def build_parser() -> _Parser:
     p.add_argument("--r-max", type=int, default=10)
     p.add_argument("--s-range", choices=_S_RANGES, default="maximal")
 
-    p = add("exceptional", _cmd_exceptional, "genera where the kappa inequality fails")
-    p.add_argument("--r", type=int, required=True)
+    p = add("exceptional", _cmd_exceptional, "genera where the kappa inequality fails", "r")
     p.add_argument("--s-range", choices=_S_RANGES, default="maximal")
 
-    p = add(
-        "figure", _cmd_figure, "per-rank CSV of d_max, rho, kappa and bounds", formats=False
-    )
-    p.add_argument("--g", type=int, required=True)
+    p = add("figure", _cmd_figure, "per-rank CSV of d_max, rho, kappa and bounds", "g",
+            formats=False)
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")
 
     p = add("selftest", _cmd_selftest, "run built-in consistency suites", formats=False)

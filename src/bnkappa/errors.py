@@ -6,6 +6,8 @@ should be impossible to fail has failed (InternalError).  The CLI maps these
 to distinct exit codes so scripts can tell them apart.
 """
 
+__all__ = ["DomainError", "InternalError"]
+
 
 class DomainError(ValueError):
     """Input lies outside the mathematical domain of the operation."""

@@ -8,12 +8,13 @@ The package's `__init__` only re-exports, so it does not count.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import bnkappa
 
 PACKAGE = Path(bnkappa.__file__).parent
-MODULES = ("exact_arith", "bn_core", "maximal_loci", "certificates", "selfcheck", "cli")
+MODULES = ("errors", "exact_arith", "bn_core", "maximal_loci", "certificates", "selfcheck", "cli")
 
 # The paper's sufficient criterion: the scans prune with kappa's own upper
 # bound, which is sharper, so the f-criterion stays as the paper states it
@@ -68,3 +69,13 @@ def test_every_export_is_used_by_the_library():
                 used.add((source, name))
     exported = {(m, name) for m in MODULES for name in _exports(trees[m])}
     assert exported - used == UNUSED_BY_DESIGN
+
+
+def test_the_package_exports_exactly_the_engine_modules_all():
+    engine = ("errors", "exact_arith", "bn_core", "maximal_loci", "certificates")
+    expected = {}
+    for module in engine:
+        mod = importlib.import_module(f"bnkappa.{module}")
+        expected.update((name, getattr(mod, name)) for name in mod.__all__)
+    assert len(bnkappa.__all__) == len(set(bnkappa.__all__)) == len(expected)
+    assert {name: getattr(bnkappa, name) for name in bnkappa.__all__} == expected
