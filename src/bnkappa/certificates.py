@@ -32,7 +32,8 @@ re-runs the same rule's derive function on the pair and accepts only an
 exact match with the stored witness, so a tampered, missing or extra
 witness field fails.  pair_status and verify() share one admissibility
 check (distinct loci, equal genus, rho < 0 on both sides), so a
-certificate of a locus against itself never verifies.
+certificate of a locus against itself never verifies.  A locus and its
+Serre dual are one subvariety, so that pair is not distinct either.
 """
 
 from __future__ import annotations
@@ -153,6 +154,8 @@ class Ledger:
             key = (e.g, e.source, e.target)
             if e.source == e.target:
                 raise LedgerError(f"ledger entry for {key} has equal source and target")
+            if _is_serre_dual(e.g, e.source, e.target):
+                raise LedgerError(f"ledger entry for {key} has a target Serre dual to its source")
             if key in self._by_key:
                 raise LedgerError(f"duplicate ledger entry for {key}")
             self._by_key[key] = e.cite
@@ -268,8 +271,21 @@ def trivial_closure(g: int, r: int, d: int) -> TrivialClosure:
     return TrivialClosure(g, r, d)
 
 
+def _is_serre_dual(g: int, source: tuple[int, int], target: tuple[int, int]) -> bool:
+    """True iff target (rank, degree) is the Serre dual of source at genus g.
+
+    Integers only, no BNLocus: pair_status asks this once per pair.
+    """
+    r, d = source
+    return target == (g - d + r - 1, 2 * g - 2 - d)
+
+
 def _require_admissible_pair(source: BNLocus, target: BNLocus, op: str) -> None:
-    if source == target:
+    # a locus and its Serre dual are one subvariety, so that pair is not distinct
+    if source == target or (
+        source.g == target.g
+        and _is_serre_dual(source.g, (source.r, source.d), (target.r, target.d))
+    ):
         raise DomainError(f"{op} requires distinct loci")
     if source.g != target.g:
         raise DomainError(f"{op} requires equal genus, got {source.g} and {target.g}")

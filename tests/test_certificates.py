@@ -158,6 +158,30 @@ def test_pair_status_rejects_equal_loci():
         pair_status(BNLocus(20, 3, 17), BNLocus(20, 3, 17))
 
 
+def test_a_locus_and_its_serre_dual_are_not_a_pair():
+    # a locus and its Serre dual are one subvariety: every such pair with
+    # rho < 0 is refused both ways, and no certificate on it verifies
+    pairs = 0
+    for g in range(3, 31):
+        for r in range(1, g):
+            for d in range(2 * r, 2 * g - 1):
+                if rho(g, r, d) >= 0:
+                    continue
+                source = BNLocus(g, r, d)
+                try:
+                    dual = bn_core.serre_dual(g, r, d)
+                except DomainError:
+                    continue
+                if dual == source:
+                    continue
+                pairs += 1
+                with pytest.raises(DomainError, match="pair_status requires distinct loci"):
+                    pair_status(source, dual, _AnyCite())
+                cert = NonContainmentCertificate(source, dual, Rule.EXTERNAL, {"cite": "nobody"})
+                assert not cert.verify(_AnyCite()), (source, dual)
+    assert pairs > 1000
+
+
 # ---------------------------------------------------------------------------
 # pair_status and genus_report, genus 20 and 21
 
@@ -505,6 +529,18 @@ def test_load_ledger_rejects_duplicates_and_garbage(tmp_path):
         load_ledger(not_utf8)
     with pytest.raises(LedgerError):
         load_ledger(tmp_path / "nope.json")
+
+
+def test_ledger_rejects_an_entry_whose_target_is_its_sources_serre_dual(tmp_path):
+    # the dual of (20, 3, 17) is (20, 20 - 17 + 3 - 1, 2*20 - 2 - 17) = (20, 5, 21)
+    with pytest.raises(LedgerError, match="Serre dual"):
+        Ledger([LedgerEntry(20, (3, 17), (5, 21), "X 2020")])
+    path = tmp_path / "dual.json"
+    path.write_text(json.dumps([_entry(), _entry(target=[5, 21])]))
+    with pytest.raises(LedgerError, match="Serre dual"):
+        load_ledger(path)
+    # a distinct locus of the same genus stays accepted
+    assert Ledger([LedgerEntry(20, (3, 17), (5, 22), "X 2020")]).entries
 
 
 def test_ledger_duplicate_key_rejected_at_construction():

@@ -513,6 +513,15 @@ def test_check_genus_mismatch_exit_2(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("source, target", [
+    ("5,1,3", "5,2,5"), ("5,2,5", "5,1,3"), ("20,3,17", "20,5,21"),
+])
+def test_check_a_locus_against_its_serre_dual_exit_2(capsys, source, target):
+    for ledger in ((), ("--ledger", LEDGER)):
+        code, out, err = run(capsys, "check", "--source", source, "--target", target, *ledger)
+        assert (code, out, err) == (2, "", "error: pair_status requires distinct loci\n")
+
+
 # ---------------------------------------------------------------------------
 # gtable / exceptional
 
