@@ -210,13 +210,12 @@ def kappa_closed(g: int, r: int, d: int) -> KappaResult:
         kappa = floor(d/r)                                if g + 1 > floor(d/r) + d,
         kappa = g + 1 - gamma + floor(-2*sqrt(-rho))      otherwise.
 
-    Requires rho < 0, r >= 1, d <= g - 1 and gamma >= 0.
+    Requires rho < 0, d <= g - 1 and gamma >= 0.  The rank r >= 1 that
+    floor(d/r) needs follows from rho < 0: a rank-0 locus has rho = d >= 0.
     """
     rv = rho(g, r, d)
     if rv >= 0:
         raise DomainError(f"kappa undefined outside rho < 0: rho({g},{r},{d}) = {rv}")
-    if r < 1:
-        raise DomainError(f"kappa_closed requires r >= 1, got {r}")
     if d > g - 1:
         raise DomainError(f"kappa_closed requires d <= g - 1, got d={d}, g={g}")
     return _closed_formula(
@@ -229,7 +228,7 @@ def _closed_formula(
 ) -> KappaResult:
     """kappa_closed's formula on (g, r, d), its two cases labelled first, second.
 
-    The caller has checked rv = rho(g, r, d) < 0, r >= 1 and d <= g - 1;
+    The caller has checked rv = rho(g, r, d) < 0 (so r >= 1) and d <= g - 1;
     this checks gamma >= 0.
     """
     gamma = clifford_index(r, d)

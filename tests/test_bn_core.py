@@ -348,6 +348,31 @@ def test_kappa_equals_the_two_step_route_on_every_small_triple():
     assert seen == set(KAPPA_ERRORS)
 
 
+KAPPA_CLOSED_ERRORS = (
+    "rho requires g >= 2, r >= 0, d >= 0",
+    "kappa undefined outside rho < 0",
+    "kappa_closed requires d <= g - 1",
+    "kappa_closed requires d - 2r >= 0",
+)
+
+
+def test_kappa_closed_raises_only_its_four_texts_on_every_small_triple():
+    # no rank check: rho < 0 already gives r >= 1, as rho(g, 0, d) = d >= 0
+    seen = set()
+    for g in range(0, 61):
+        for r in range(-1, g + 3):
+            for d in range(-1, 2 * g + 3):
+                try:
+                    kappa_closed(g, r, d)
+                except DomainError as exc:
+                    text = str(exc)
+                    assert text.startswith(KAPPA_CLOSED_ERRORS), text
+                    seen.update(p for p in KAPPA_CLOSED_ERRORS if text.startswith(p))
+                else:
+                    assert r >= 1, (g, r, d)
+    assert seen == set(KAPPA_CLOSED_ERRORS)
+
+
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_kappa_on_the_dual_route_equals_the_two_step_route_at_huge_genus(data):
