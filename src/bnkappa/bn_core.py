@@ -175,16 +175,15 @@ def kappa_brute(g: int, r: int, d: int) -> KappaResult:
     qualifies); both are InternalErrors.  Cost: O(log g) evaluations of
     rho_k, each O(1) by its parabola vertex, against O(g) for a scan over
     every k.
-    Requires rho < 0 (otherwise kappa is undefined), d - 2r >= 0 and
-    g - d + r >= 1 (otherwise no k qualifies).
+    Requires rho < 0 (otherwise kappa is undefined) and d - 2r >= 0
+    (otherwise no k qualifies).  No k qualifies when g - d + r <= 0 either,
+    but then rho >= g, so rho < 0 already rules that out.
     """
     rv = rho(g, r, d)
     if rv >= 0:
         raise DomainError(f"kappa undefined outside rho < 0: rho({g},{r},{d}) = {rv}")
     if d - 2 * r < 0:
         raise DomainError(f"kappa_brute requires d - 2r >= 0, got {d - 2 * r}")
-    if g - d + r < 1:
-        raise DomainError(f"kappa_brute requires g - d + r >= 1, got {g - d + r}")
     cap = general_gonality(g)
     if rho_pflueger(g, r, d, cap) >= 0:
         raise InternalError(

@@ -2,6 +2,7 @@
 and the step-by-step search that is the oracle for the trivial closure."""
 
 import dataclasses
+import re
 from math import isqrt
 
 import pytest
@@ -145,6 +146,18 @@ def test_rho_pflueger_matches_linear_maximum_at_huge_genus(data):
 def test_rho_pflueger_requires_k_at_least_2():
     with pytest.raises(DomainError):
         rho_pflueger(20, 3, 17, 1)
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (rho_pflueger, (1, 1, 1, 2), "rho_pflueger requires g >= 2, r >= 0, d >= 0; got (1, 1, 1)"),
+    (rho_pflueger, (2, -1, 1, 2), "rho_pflueger requires g >= 2, r >= 0, d >= 0; got (2, -1, 1)"),
+    (rho_pflueger, (2, 1, -1, 2), "rho_pflueger requires g >= 2, r >= 0, d >= 0; got (2, 1, -1)"),
+    # rho(10, 6, 11) = -25 < 0, one degree short of d = 2r
+    (kappa_brute, (10, 6, 11), "kappa_brute requires d - 2r >= 0, got -1"),
+])
+def test_each_function_refuses_one_step_outside_its_domain(fn, args, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        fn(*args)
 
 
 def test_rho_pflueger_monotone_in_k():
@@ -348,29 +361,35 @@ def test_kappa_equals_the_two_step_route_on_every_small_triple():
     assert seen == set(KAPPA_ERRORS)
 
 
-KAPPA_CLOSED_ERRORS = (
-    "rho requires g >= 2, r >= 0, d >= 0",
-    "kappa undefined outside rho < 0",
-    "kappa_closed requires d <= g - 1",
-    "kappa_closed requires d - 2r >= 0",
-)
-
-
-def test_kappa_closed_raises_only_its_four_texts_on_every_small_triple():
-    # no rank check: rho < 0 already gives r >= 1, as rho(g, 0, d) = d >= 0
+@pytest.mark.parametrize("fn, texts", [
+    (kappa_closed, (
+        "rho requires g >= 2, r >= 0, d >= 0",
+        "kappa undefined outside rho < 0",
+        "kappa_closed requires d <= g - 1",
+        "kappa_closed requires d - 2r >= 0",
+    )),
+    (kappa_brute, (
+        "rho requires g >= 2, r >= 0, d >= 0",
+        "kappa undefined outside rho < 0",
+        "kappa_brute requires d - 2r >= 0",
+    )),
+], ids=["kappa_closed", "kappa_brute"])
+def test_each_kappa_route_raises_only_its_own_texts_on_every_small_triple(fn, texts):
+    # rho < 0 alone gives r >= 1 (rho(g, 0, d) = d) and g - d + r >= 1 (else
+    # rho >= g), so neither route checks them, and every text occurs
     seen = set()
     for g in range(0, 61):
         for r in range(-1, g + 3):
             for d in range(-1, 2 * g + 3):
                 try:
-                    kappa_closed(g, r, d)
+                    fn(g, r, d)
                 except DomainError as exc:
                     text = str(exc)
-                    assert text.startswith(KAPPA_CLOSED_ERRORS), text
-                    seen.update(p for p in KAPPA_CLOSED_ERRORS if text.startswith(p))
+                    assert text.startswith(texts), text
+                    seen.update(p for p in texts if text.startswith(p))
                 else:
-                    assert r >= 1, (g, r, d)
-    assert seen == set(KAPPA_CLOSED_ERRORS)
+                    assert r >= 1 and g - d + r >= 1, (g, r, d)
+    assert seen == set(texts)
 
 
 @given(st.data())

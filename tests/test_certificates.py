@@ -92,6 +92,15 @@ def test_divisor_rule_refusals():
     assert _derive(Rule.DIVISOR_CRITERION, BNLocus(20, 3, 17), BNLocus(20, 2, 15)) is None
 
 
+def test_divisor_rule_none_when_the_source_is_in_kappas_first_case():
+    # g + 1 = 8 > floor(4/2) + 4: kappa(7, 2, 4) = 2 is the first case, and no
+    # earlier rule separates the pair from the rho = -1 target (7, 3, 8)
+    source, target = BNLocus(7, 2, 4), BNLocus(7, 3, 8)
+    assert target.rho() == -1 and source.kappa().branch is bn_core.KappaBranch.CLOSED_FIRST_CASE
+    assert _derive(Rule.DIVISOR_CRITERION, source, target) is None
+    assert pair_status(source, target).kind is StatusKind.OPEN
+
+
 def test_rules_reject_inadmissible_pairs():
     for source, target in [
         (BNLocus(20, 3, 17), BNLocus(21, 2, 15)),  # genus mismatch
@@ -541,6 +550,14 @@ def test_ledger_rejects_an_entry_whose_target_is_its_sources_serre_dual(tmp_path
         load_ledger(path)
     # a distinct locus of the same genus stays accepted
     assert Ledger([LedgerEntry(20, (3, 17), (5, 22), "X 2020")]).entries
+
+
+@pytest.mark.parametrize("entry", [[20, [3, 17], [1, 10], "X 2020"], "X 2020", 20, None])
+def test_load_ledger_refuses_an_entry_that_is_not_an_object(tmp_path, entry):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([_entry(), entry]))
+    with pytest.raises(LedgerError, match=f"^entry 1: expected an object, got {type(entry).__name__}$"):
+        load_ledger(path)
 
 
 def test_ledger_duplicate_key_rejected_at_construction():

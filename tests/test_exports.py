@@ -11,6 +11,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import bnkappa
 
 PACKAGE = Path(bnkappa.__file__).parent
@@ -79,3 +81,11 @@ def test_the_package_exports_exactly_the_engine_modules_all():
         expected.update((name, getattr(mod, name)) for name in mod.__all__)
     assert len(bnkappa.__all__) == len(set(bnkappa.__all__)) == len(expected)
     assert {name: getattr(bnkappa, name) for name in bnkappa.__all__} == expected
+
+
+def test_the_version_is_declared_once():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "version" not in config["project"] and "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "bnkappa.__version__"}

@@ -1,5 +1,7 @@
 """Extremal loci: maximal degrees, kappa there, and the rank-ordering scan."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -369,3 +371,25 @@ def test_compute_G_rejects_rank_one():
         compute_G(1)
     with pytest.raises(DomainError):
         exceptional_genera(1)
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (d_max, (1, 1), "d_max requires g >= 2 and r >= 1, got (1, 1)"),
+    (d_max, (2, 0), "d_max requires g >= 2 and r >= 1, got (2, 0)"),
+    (r_max_expected, (2,), "r_max_expected requires g >= 3, got 2"),
+    (is_expected_maximal, (2, 1, 2), "is_expected_maximal requires g >= 3, r >= 1, got (2, 1)"),
+    (is_expected_maximal, (3, 0, 2), "is_expected_maximal requires g >= 3, r >= 1, got (3, 0)"),
+    (rho_at_dmax, (1, 1), "rho_at_dmax requires g >= 2 and r >= 1, got (1, 1)"),
+    (rho_at_dmax, (2, 0), "rho_at_dmax requires g >= 2 and r >= 1, got (2, 0)"),
+    (kappa_at_dmax, (2, 1), "kappa_at_dmax requires g >= 3 and r >= 1, got (2, 1)"),
+    (kappa_at_dmax, (3, 0), "kappa_at_dmax requires g >= 3 and r >= 1, got (3, 0)"),
+    (kappa_bounds, (2, 1), "kappa_bounds requires g >= 3 and r >= 1, got (2, 1)"),
+    (kappa_bounds, (3, 0), "kappa_bounds requires g >= 3 and r >= 1, got (3, 0)"),
+    (genus_threshold_holds, (100, 0), "genus_threshold_holds requires r >= 1, got 0"),
+    (ineq_holds_all_s, (2, 1), "ineq_holds_all_s requires g >= 3 and r >= 1, got (2, 1)"),
+    (ineq_holds_all_s, (3, 0), "ineq_holds_all_s requires g >= 3 and r >= 1, got (3, 0)"),
+    (min_genus_for_rank, (0,), "min_genus_for_rank requires r >= 1, got 0"),
+])
+def test_each_function_refuses_one_step_outside_its_domain(fn, args, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        fn(*args)
