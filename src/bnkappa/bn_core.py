@@ -239,14 +239,18 @@ def _closed_formula(
     return KappaResult(g + 1 - gamma + floor_neg_2sqrt(-rv), second, rv, gamma)
 
 
+def _dual_indices(g: int, r: int, d: int) -> tuple[int, int]:
+    """Rank and degree (g - d + r - 1, 2g - 2 - d) of the Serre dual, unchecked."""
+    return g - d + r - 1, 2 * g - 2 - d
+
+
 def serre_dual(g: int, r: int, d: int) -> BNLocus:
     """Serre-dual locus (g, g - d + r - 1, 2g - 2 - d).
 
     Two dual loci coincide as subvarieties; rho and the Clifford index are
     both preserved by the involution.
     """
-    s = g - d + r - 1
-    e = 2 * g - 2 - d
+    s, e = _dual_indices(g, r, d)
     if s < 0 or e < 0:
         raise DomainError(f"Serre dual of ({g},{r},{d}) has negative rank or degree")
     return BNLocus(g, s, e)

@@ -154,7 +154,7 @@ class Ledger:
             key = (e.g, e.source, e.target)
             if e.source == e.target:
                 raise LedgerError(f"ledger entry for {key} has equal source and target")
-            if _is_serre_dual(e.g, e.source, e.target):
+            if e.target == bn_core._dual_indices(e.g, *e.source):
                 raise LedgerError(f"ledger entry for {key} has a target Serre dual to its source")
             if key in self._by_key:
                 raise LedgerError(f"duplicate ledger entry for {key}")
@@ -271,25 +271,15 @@ def trivial_closure(g: int, r: int, d: int) -> TrivialClosure:
     return TrivialClosure(g, r, d)
 
 
-def _is_serre_dual(g: int, source: tuple[int, int], target: tuple[int, int]) -> bool:
-    """True iff target (rank, degree) is the Serre dual of source at genus g.
-
-    Integers only, no BNLocus: pair_status asks this once per pair.
-    """
-    r, d = source
-    return target == (g - d + r - 1, 2 * g - 2 - d)
-
-
 def _require_admissible_pair(source: BNLocus, target: BNLocus, op: str) -> None:
-    # a locus and its Serre dual are one subvariety, so that pair is not distinct
-    if source == target or (
-        source.g == target.g
-        and _is_serre_dual(source.g, (source.r, source.d), (target.r, target.d))
-    ):
-        raise DomainError(f"{op} requires distinct loci")
     if source.g != target.g:
         raise DomainError(f"{op} requires equal genus, got {source.g} and {target.g}")
-    if source.rho() >= 0 or target.rho() >= 0:
+    rs, rt = source.rho(), target.rho()
+    # At one genus, equal rho and Clifford index d - 2r mean the same locus or
+    # its Serre dual, one subvariety either way: integers only, no BNLocus.
+    if rs == rt and source.d - 2 * source.r == target.d - 2 * target.r:
+        raise DomainError(f"{op} requires distinct loci")
+    if rs >= 0 or rt >= 0:
         raise DomainError(f"{op} requires both loci to have rho < 0")
 
 

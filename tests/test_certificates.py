@@ -510,6 +510,9 @@ def test_load_ledger_reads_only_one_json_array(tmp_path):
         _entry(cite=""),
         _entry(cite=7),
         _entry(target=[3, 17]),  # source equals target
+        _entry(target=[5, 21]),  # target is the source's Serre dual
+        [20, [3, 17], [1, 10], "X 2020"],  # not an object
+        "X 2020",
     ],
 )
 def test_load_ledger_rejects_malformed_entries(tmp_path, bad):
@@ -540,24 +543,12 @@ def test_load_ledger_rejects_duplicates_and_garbage(tmp_path):
         load_ledger(tmp_path / "nope.json")
 
 
-def test_ledger_rejects_an_entry_whose_target_is_its_sources_serre_dual(tmp_path):
+def test_ledger_rejects_an_entry_whose_target_is_its_sources_serre_dual():
     # the dual of (20, 3, 17) is (20, 20 - 17 + 3 - 1, 2*20 - 2 - 17) = (20, 5, 21)
     with pytest.raises(LedgerError, match="Serre dual"):
         Ledger([LedgerEntry(20, (3, 17), (5, 21), "X 2020")])
-    path = tmp_path / "dual.json"
-    path.write_text(json.dumps([_entry(), _entry(target=[5, 21])]))
-    with pytest.raises(LedgerError, match="Serre dual"):
-        load_ledger(path)
     # a distinct locus of the same genus stays accepted
     assert Ledger([LedgerEntry(20, (3, 17), (5, 22), "X 2020")]).entries
-
-
-@pytest.mark.parametrize("entry", [[20, [3, 17], [1, 10], "X 2020"], "X 2020", 20, None])
-def test_load_ledger_refuses_an_entry_that_is_not_an_object(tmp_path, entry):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps([_entry(), entry]))
-    with pytest.raises(LedgerError, match=f"^entry 1: expected an object, got {type(entry).__name__}$"):
-        load_ledger(path)
 
 
 def test_ledger_duplicate_key_rejected_at_construction():

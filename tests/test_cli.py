@@ -175,6 +175,7 @@ def test_gamma_negative_rank_or_degree_exit_2(capsys, argv):
         ["check", "--source", "20,3", "--target", "20,4,19"],
         ["kappa", "--g", "20", "--r", "3", "--d", "17", "--method", "closed"],
         ["kappa", "--g", "20", "--r", "3", "--d", "17", "--method", "brute"],
+        ["check", "--source", "20,x,17", "--target", "20,4,19"],
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):
@@ -506,21 +507,6 @@ def test_check_triple_outside_domain_exit_2(capsys, source, message):
     code, out, err = run(capsys, "check", "--source", source, "--target", "20,4,19")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
-
-
-@pytest.mark.parametrize("source, message", [
-    ("20,x,17", "expected integers g,r,d — got '20,x,17'"),
-    ("20,3", "expected g,r,d — got '20,3'"),
-])
-def test_check_unreadable_triple_exit_1(capsys, source, message):
-    code, out, err = run(capsys, "check", "--source", source, "--target", "20,4,19")
-    assert (code, out) == (1, "")
-    assert err.endswith(f"bnkappa check: error: argument --source: {message}\n")
-
-
-def test_check_divisor_rule_skips_a_first_case_source(capsys):
-    code, out, _ = run(capsys, "check", "--source", "7,2,4", "--target", "7,3,8")
-    assert (code, out) == (0, "(g=7, r=2, d=4) vs (g=7, r=3, d=8): open\n")
 
 
 def test_check_genus_mismatch_exit_2(capsys):
