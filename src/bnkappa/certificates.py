@@ -275,8 +275,8 @@ def _require_admissible_pair(source: BNLocus, target: BNLocus, op: str) -> None:
     if source.g != target.g:
         raise DomainError(f"{op} requires equal genus, got {source.g} and {target.g}")
     rs, rt = source.rho(), target.rho()
-    # At one genus, equal rho and Clifford index d - 2r mean the same locus or
-    # its Serre dual, one subvariety either way: integers only, no BNLocus.
+    # at one genus, equal rho and Clifford index d - 2r mean the same locus
+    # or its Serre dual, which is one subvariety either way
     if rs == rt and source.d - 2 * source.r == target.d - 2 * target.r:
         raise DomainError(f"{op} requires distinct loci")
     if rs >= 0 or rt >= 0:

@@ -4,7 +4,9 @@ The check reads the package's source with `ast`: a name in a module's
 `__all__` counts as used when some module of the package refers to it
 (as a bare name bound by `from .module import name`, as `module.name`, or
 inside its own module) from outside the name's own top-level def or class.
-The package's `__init__` only re-exports, so it does not count.
+The package's `__init__` only re-exports, so it does not count: its
+`__all__` is exactly the engine modules' `__all__` lists, and the version
+is declared once, in `__init__`.
 """
 
 import ast
