@@ -510,7 +510,7 @@ def test_load_ledger_reads_only_one_json_array(tmp_path):
         _entry(cite=""),
         _entry(cite=7),
         _entry(target=[3, 17]),  # source equals target
-        _entry(target=[5, 21]),  # target is the source's Serre dual
+        _entry(target=[5, 21]),  # the Serre dual (20, 20 - 17 + 3 - 1, 2*20 - 2 - 17)
         [20, [3, 17], [1, 10], "X 2020"],  # not an object
         "X 2020",
     ],
@@ -541,14 +541,6 @@ def test_load_ledger_rejects_duplicates_and_garbage(tmp_path):
         load_ledger(not_utf8)
     with pytest.raises(LedgerError):
         load_ledger(tmp_path / "nope.json")
-
-
-def test_ledger_rejects_an_entry_whose_target_is_its_sources_serre_dual():
-    # the dual of (20, 3, 17) is (20, 20 - 17 + 3 - 1, 2*20 - 2 - 17) = (20, 5, 21)
-    with pytest.raises(LedgerError, match="Serre dual"):
-        Ledger([LedgerEntry(20, (3, 17), (5, 21), "X 2020")])
-    # a distinct locus of the same genus stays accepted
-    assert Ledger([LedgerEntry(20, (3, 17), (5, 22), "X 2020")]).entries
 
 
 def test_ledger_duplicate_key_rejected_at_construction():
