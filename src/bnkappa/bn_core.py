@@ -12,7 +12,8 @@ computed here two independent ways:
 
 * brute force over Pflueger's k-gonal adjustment of rho, and
 * a closed formula, valid for d <= g - 1, with a Serre-duality reduction
-  used to reach that range when d > g - 1.
+  used to reach that range when d > g - 1 (kappa; kappa_closed is kappa
+  restricted to d <= g - 1).
 
 The two routes are kept separate on purpose so they can be checked against
 each other: `kappa` is the closed route alone, and `kappa_brute` is its
@@ -40,7 +41,6 @@ __all__ = [
     "kappa_brute",
     "kappa_closed",
     "kappa",
-    "serre_dual",
 ]
 
 
@@ -202,34 +202,44 @@ def kappa_brute(g: int, r: int, d: int) -> KappaResult:
 
 
 def kappa_closed(g: int, r: int, d: int) -> KappaResult:
-    """Gonality invariant by closed formula, valid for d <= g - 1.
+    """kappa restricted to d <= g - 1, where the closed formula applies directly.
 
-    With gamma = d - 2r:
+    Raises kappa's errors, and refuses rho < 0 with d > g - 1 instead of
+    reducing by Serre duality.
+    """
+    if d > g - 1 and rho(g, r, d) < 0:
+        raise DomainError(f"kappa_closed requires d <= g - 1, got d={d}, g={g}")
+    return kappa(g, r, d)
+
+
+def kappa(g: int, r: int, d: int) -> KappaResult:
+    """Gonality invariant by the closed formula.
+
+    With gamma = d - 2r, for d <= g - 1:
 
         kappa = floor(d/r)                                if g + 1 > floor(d/r) + d,
         kappa = g + 1 - gamma + floor(-2*sqrt(-rho))      otherwise.
 
-    Requires rho < 0, d <= g - 1 and gamma >= 0.  The rank r >= 1 that
-    floor(d/r) needs follows from rho < 0: a rank-0 locus has rho = d >= 0.
+    For d > g - 1 the formula is evaluated once on the Serre-dual indices
+    (g - d + r - 1, 2g - 2 - d), with the rho already in hand (branch
+    SERRE_DUAL_REDUCTION): the dual has degree <= g - 1 and the same rho and
+    Clifford index.  A rank-0 locus has rho = d >= 0, so rho < 0 gives rank
+    >= 1 on both sides, as floor(d/r) needs.  Requires rho < 0, a dual with
+    indices >= 0, and gamma >= 0; with rho < 0 these fail exactly when
+    d < 2r, g - d + r <= 1 or d > 2g - 2, where kappa_brute has no value
+    either.
     """
     rv = rho(g, r, d)
     if rv >= 0:
         raise DomainError(f"kappa undefined outside rho < 0: rho({g},{r},{d}) = {rv}")
-    if d > g - 1:
-        raise DomainError(f"kappa_closed requires d <= g - 1, got d={d}, g={g}")
-    return _closed_formula(
-        g, r, d, rv, KappaBranch.CLOSED_FIRST_CASE, KappaBranch.CLOSED_SECOND_CASE
-    )
-
-
-def _closed_formula(
-    g: int, r: int, d: int, rv: int, first: KappaBranch, second: KappaBranch
-) -> KappaResult:
-    """kappa_closed's formula on (g, r, d), its two cases labelled first, second.
-
-    The caller has checked rv = rho(g, r, d) < 0 (so r >= 1) and d <= g - 1;
-    this checks gamma >= 0.
-    """
+    if d <= g - 1:
+        first, second = KappaBranch.CLOSED_FIRST_CASE, KappaBranch.CLOSED_SECOND_CASE
+    else:
+        s, e = g - d + r - 1, 2 * g - 2 - d
+        if s < 0 or e < 0:
+            raise DomainError(f"Serre dual of ({g},{r},{d}) has negative rank or degree")
+        r, d = s, e
+        first = second = KappaBranch.SERRE_DUAL_REDUCTION
     gamma = clifford_index(r, d)
     if gamma < 0:
         raise DomainError(f"kappa_closed requires d - 2r >= 0, got {gamma}")
@@ -237,46 +247,3 @@ def _closed_formula(
     if g + 1 > fl + d:
         return KappaResult(fl, first, rv, gamma)
     return KappaResult(g + 1 - gamma + floor_neg_2sqrt(-rv), second, rv, gamma)
-
-
-def _dual_indices(g: int, r: int, d: int) -> tuple[int, int]:
-    """Rank and degree (g - d + r - 1, 2g - 2 - d) of the Serre dual, unchecked."""
-    return g - d + r - 1, 2 * g - 2 - d
-
-
-def serre_dual(g: int, r: int, d: int) -> BNLocus:
-    """Serre-dual locus (g, g - d + r - 1, 2g - 2 - d).
-
-    Two dual loci coincide as subvarieties; rho and the Clifford index are
-    both preserved by the involution.
-    """
-    s, e = _dual_indices(g, r, d)
-    if s < 0 or e < 0:
-        raise DomainError(f"Serre dual of ({g},{r},{d}) has negative rank or degree")
-    return BNLocus(g, s, e)
-
-
-def kappa(g: int, r: int, d: int) -> KappaResult:
-    """Gonality invariant by the closed formula.
-
-    For d <= g - 1 this is kappa_closed.  For d > g - 1 the Serre-dual locus
-    has degree 2g - 2 - d <= g - 1 and the same rho and Clifford index, so
-    the closed formula is evaluated once there, with the rho already in hand
-    (branch SERRE_DUAL_REDUCTION).  A rank-0 locus has rho = d >= 0, so
-    rho < 0 gives rank >= 1 on both sides, and kappa_closed's checks reduce
-    to gamma >= 0.  A dual that does not exist raises serre_dual's
-    DomainError, and gamma < 0 raises kappa_closed's: with rho < 0 that
-    happens exactly when d < 2r, g - d + r <= 1 or d > 2g - 2, where
-    kappa_brute has no value either.
-    """
-    rv = rho(g, r, d)
-    if rv >= 0:
-        raise DomainError(f"kappa undefined outside rho < 0: rho({g},{r},{d}) = {rv}")
-    if d <= g - 1:
-        return _closed_formula(
-            g, r, d, rv, KappaBranch.CLOSED_FIRST_CASE, KappaBranch.CLOSED_SECOND_CASE
-        )
-    dual = serre_dual(g, r, d)
-    return _closed_formula(
-        g, dual.r, dual.d, rv, KappaBranch.SERRE_DUAL_REDUCTION, KappaBranch.SERRE_DUAL_REDUCTION
-    )

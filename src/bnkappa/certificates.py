@@ -30,9 +30,9 @@ certificate never asserts containment: the pair is Open.
 Every certificate carries a witness.  NonContainmentCertificate.verify()
 re-runs the same rule's derive function on the pair and accepts only an
 exact match with the stored witness, so a tampered, missing or extra
-witness field fails.  pair_status and verify() share one admissibility
-check (distinct loci, equal genus, rho < 0 on both sides), so a
-certificate of a locus against itself never verifies.  A locus and its
+witness field fails.  pair_status, verify() and the Ledger share one
+admissibility check (distinct loci, equal genus, rho < 0 on both sides), so
+a certificate of a locus against itself never verifies.  A locus and its
 Serre dual are one subvariety, so that pair is not distinct either.
 """
 
@@ -145,17 +145,22 @@ class LedgerEntry:
 
 
 class Ledger:
-    """Published non-containment facts, keyed by (g, source, target)."""
+    """Published non-containment facts, keyed by (g, source, target).
+
+    An entry naming a pair that pair_status refuses is rejected: no query
+    could ever reach it.
+    """
 
     def __init__(self, entries: list[LedgerEntry]):
         self._by_key: dict[tuple, str] = {}
         self.entries = entries
         for e in entries:
             key = (e.g, e.source, e.target)
-            if e.source == e.target:
-                raise LedgerError(f"ledger entry for {key} has equal source and target")
-            if e.target == bn_core._dual_indices(e.g, *e.source):
-                raise LedgerError(f"ledger entry for {key} has a target Serre dual to its source")
+            try:
+                source, target = BNLocus(e.g, *e.source), BNLocus(e.g, *e.target)
+                _require_admissible_pair(source, target, "ledger")
+            except DomainError as exc:
+                raise LedgerError(f"ledger entry for {key}: {exc}") from exc
             if key in self._by_key:
                 raise LedgerError(f"duplicate ledger entry for {key}")
             self._by_key[key] = e.cite

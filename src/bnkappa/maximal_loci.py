@@ -167,7 +167,7 @@ def enumerate_expected_maximal(g: int) -> list[MaximalLocusRecord]:
         records.append(
             MaximalLocusRecord(
                 locus=locus,
-                rho=rho_at_dmax(g, r),
+                rho=locus.rho(),
                 kappa=locus.kappa(),  # the locus' memo: a report's pairs share it
                 lower_bound=lower,
                 upper_bound=upper,

@@ -22,7 +22,6 @@ from bnkappa.bn_core import (
     r_prime,
     rho,
     rho_pflueger,
-    serre_dual,
 )
 from bnkappa.certificates import trivial_closure
 from bnkappa.errors import DomainError, InternalError
@@ -319,6 +318,16 @@ def test_kappa_without_a_closed_value_raises_without_brute_force(monkeypatch, g,
         kappa(g, r, d)
 
 
+def serre_dual(g, r, d):
+    """Indices (g, g - d + r - 1, 2g - 2 - d) of the Serre-dual locus, from the
+    definition: a series D of rank r and degree d has residual K - D of degree
+    2g - 2 - d and, by Riemann-Roch, rank g - d + r - 1."""
+    s, e = g - d + r - 1, 2 * g - 2 - d
+    if s < 0 or e < 0:
+        raise DomainError(f"Serre dual of ({g},{r},{d}) has negative rank or degree")
+    return g, s, e
+
+
 def kappa_two_step(g, r, d):
     """kappa's oracle: kappa_closed itself for d <= g - 1, and for d > g - 1
     kappa_closed on serre_dual's indices, wrapped in a second result.
@@ -328,7 +337,7 @@ def kappa_two_step(g, r, d):
     rv = rho(g, r, d)
     if d <= g - 1 or rv >= 0:
         return kappa_closed(g, r, d)
-    dual = kappa_closed(*dataclasses.astuple(serre_dual(g, r, d)))
+    dual = kappa_closed(*serre_dual(g, r, d))
     return KappaResult(dual.value, KappaBranch.SERRE_DUAL_REDUCTION, rv, clifford_index(r, d))
 
 
@@ -355,6 +364,11 @@ def test_kappa_equals_the_two_step_route_on_every_small_triple():
             for d in range(-1, 2 * g + 3):
                 want = _outcome(kappa_two_step, g, r, d)
                 assert _outcome(kappa, g, r, d) == want, (g, r, d)
+                # kappa_closed is kappa, bar its one refusal of the Serre-dual range
+                refused = g >= 2 and r >= 0 and d > g - 1 and rho(g, r, d) < 0
+                assert _outcome(kappa_closed, g, r, d) == (
+                    f"kappa_closed requires d <= g - 1, got d={d}, g={g}" if refused else want
+                ), (g, r, d)
                 if isinstance(want, str):
                     seen.update(p for p in KAPPA_ERRORS if want.startswith(p))
                     assert want.startswith(KAPPA_ERRORS), want
@@ -497,17 +511,6 @@ def test_used_and_fresh_loci_are_indistinguishable():
 # Serre duality
 
 
-def test_serre_dual_frozen():
-    assert serre_dual(20, 3, 17) == BNLocus(20, 5, 21)
-    assert serre_dual(20, 5, 21) == BNLocus(20, 3, 17)
-    assert serre_dual(4, 1, 3) == BNLocus(4, 1, 3)  # self-dual
-
-
-def test_serre_dual_rejects_out_of_range():
-    with pytest.raises(DomainError):
-        serre_dual(20, 1, 40)  # dual degree would be negative
-
-
 def test_equal_rho_and_gamma_means_identical_or_serre_dual():
     # rho and the Clifford index pin a locus down up to Serre duality
     for g in range(3, 41):
@@ -520,7 +523,7 @@ def test_equal_rho_and_gamma_means_identical_or_serre_dual():
             for a in members:
                 for b in members:
                     if a != b:
-                        assert serre_dual(a.g, a.r, a.d) == b, (a, b)
+                        assert serre_dual(a.g, a.r, a.d) == dataclasses.astuple(b), (a, b)
 
 
 def test_serre_invariance_of_rho_gamma_rhok():
@@ -529,15 +532,13 @@ def test_serre_invariance_of_rho_gamma_rhok():
         for r in range(0, g):
             for d in range(0, 2 * g - 1):
                 try:
-                    dual = serre_dual(g, r, d)
+                    _, s, e = serre_dual(g, r, d)
                 except DomainError:
                     continue
-                assert rho(g, r, d) == rho(dual.g, dual.r, dual.d)
-                assert clifford_index(r, d) == clifford_index(dual.r, dual.d)
+                assert rho(g, r, d) == rho(g, s, e)
+                assert clifford_index(r, d) == clifford_index(s, e)
                 for k in range(2, general_gonality(g) + 1):
-                    assert rho_pflueger(g, r, d, k) == rho_pflueger(
-                        dual.g, dual.r, dual.d, k
-                    ), (g, r, d, k)
+                    assert rho_pflueger(g, r, d, k) == rho_pflueger(g, s, e, k), (g, r, d, k)
 
 
 # ---------------------------------------------------------------------------

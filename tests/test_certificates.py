@@ -177,10 +177,8 @@ def test_a_locus_and_its_serre_dual_are_not_a_pair():
                 if rho(g, r, d) >= 0:
                     continue
                 source = BNLocus(g, r, d)
-                try:
-                    dual = bn_core.serre_dual(g, r, d)
-                except DomainError:
-                    continue
+                # the Serre dual; rho < 0 and d <= 2g - 2 keep both indices >= 0
+                dual = BNLocus(g, g - d + r - 1, 2 * g - 2 - d)
                 if dual == source:
                     continue
                 pairs += 1
@@ -511,6 +509,9 @@ def test_load_ledger_reads_only_one_json_array(tmp_path):
         _entry(cite=7),
         _entry(target=[3, 17]),  # source equals target
         _entry(target=[5, 21]),  # the Serre dual (20, 20 - 17 + 3 - 1, 2*20 - 2 - 17)
+        _entry(source=[1, 19]),  # rho(20, 1, 19) = 16 >= 0: pair_status refuses it
+        _entry(source=[-1, 5]),  # a negative rank
+        _entry(g=1),  # genus below 2
         [20, [3, 17], [1, 10], "X 2020"],  # not an object
         "X 2020",
     ],
