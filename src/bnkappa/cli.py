@@ -255,8 +255,9 @@ def _cmd_check(args) -> _Output:
     return _Output(_PAIR_HEADERS, [row], doc=_status_doc(status), text=text)
 
 
-# The scans grow as r^2.5: `gtable --r-max 60` takes about 5 s on a 2-vCPU
-# VM and `exceptional --r 60` about 0.4 s, so higher ranks are refused.
+# The scans grow as r^2.5: `gtable --r-max 60` takes about 2.1-3.2 s on a
+# 2-vCPU VM and `exceptional --r 60` about 0.25-0.35 s, so higher ranks are
+# refused.
 # The library itself scans any rank.
 SCAN_RANK_CEILING = 60
 

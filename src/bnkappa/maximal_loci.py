@@ -12,7 +12,10 @@ locate, for each rank r, the genera where the strict kappa inequality
 
     kappa(g, r, d_max(g, r)) > kappa(g, s, d_max(g, s))   for all s > r
 
-fails, and the threshold G(r) past which it always holds.
+fails, and the threshold G(r) past which it always holds.  A scan ends at
+the genus scan_end(r), about 2(r+1)^(5/2), from which kappa's own bracket
+proves the inequality; the paper's threshold genus_threshold_min(r), about
+4(r+1)^(5/2), stays as that end's upper check.
 
 Three choices of the s-range are supported.  MAXIMAL compares against the
 ranks s <= r_max_expected(g) (the default).  PAPER uses the smaller bound
@@ -46,6 +49,7 @@ __all__ = [
     "f_criterion",
     "genus_threshold_holds",
     "genus_threshold_min",
+    "scan_end",
     "ineq_holds_all_s",
     "compute_G",
     "exceptional_genera",
@@ -227,6 +231,61 @@ def genus_threshold_min(r: int) -> int:
     return gmin
 
 
+def _lower_bound_clears_2sqrt_g(g: int, r: int) -> bool:
+    """True iff g/(r+1) + r - 2*sqrt(r+1) >= 2*sqrt(g) + 1, decided exactly.
+
+    With n = r + 1 and P = g + n(n-2), n times the difference is
+    A - 2n*sqrt(g) with A = P - 2n*sqrt(n); it is >= 0 iff A >= 0 and
+    A^2 = P^2 + 4n^3 - 4nP*sqrt(n) >= 4n^2 g.
+    """
+    n = r + 1
+    p = g + n * (n - 2)
+    return surd_sign(p, -2 * n, n) >= 0 and surd_sign(
+        p * p + 4 * n**3 - 4 * n * n * g, -4 * n * p, n
+    ) >= 0
+
+
+def scan_end(r: int) -> int:
+    """A genus S(r) from which the kappa inequality holds for rank r, proven.
+
+    With n = r + 1, S(r) = n(n+1) + ceil(sqrt(4 n^3 (n+1)^2)), the least
+    integer g >= n(n+1)(1 + 2*sqrt(n)), about 2 n^(5/2).  For every
+    g >= S(r) and every s-range, ineq_holds_all_s(g, r, s_range) holds:
+
+    1. kappa_at_dmax(g, r) > L(g) = g/n + r - 2*sqrt(n), and
+       kappa_at_dmax(g, s) <= U(s) = g/(s+1) + s for every s (kappa_bounds).
+       U is convex in s, so L >= U at s = r + 1 and at s = B, the top of the
+       s-range, gives kappa(r) > L >= U(s) >= kappa(s) for all r < s <= B.
+    2. The end s = r + 1.  L >= U(r+1) reads g/(n(n+1)) >= 1 + 2*sqrt(n),
+       that is g >= n(n+1)(1 + 2*sqrt(n)): it holds from S(r) on.
+    3. The end s = B.  Each s-range has sqrt(g) - 1/2 < B + 1 and
+       B <= sqrt(g).  With x = B + 1, U(B) = 2*sqrt(g) - 1 + (x - sqrt(g))^2/x,
+       and (x - sqrt(g))^2 <= 1 < x for g >= 3, so U(B) < 2*sqrt(g) + 1.
+       The inequality L(g) >= 2*sqrt(g) + 1 holds at S(r), decided by surd
+       signs, and keeps holding for larger g, because g/n - 2*sqrt(g)
+       increases once g > n^2, and S(r) > n^2.
+
+    The closed form is checked at its boundary: step 2's condition must hold
+    at S(r) and fail one genus below, step 3's must hold at S(r), and S(r)
+    may not exceed the paper's genus_threshold_min(r).  Step 3 fails at
+    r = 1 (S(1) = 23), hence the domain r >= 2.
+    """
+    if r < 2:
+        raise DomainError(f"scan_end requires r >= 2, got {r}")
+    n = r + 1
+    m = n * (n + 1)
+    root = isqrt(4 * n * m * m)
+    end = m + root + (root * root < 4 * n * m * m)
+    if (
+        surd_sign(end - m, -2 * m, n) < 0
+        or surd_sign(end - 1 - m, -2 * m, n) >= 0
+        or not _lower_bound_clears_2sqrt_g(end, r)
+        or end > genus_threshold_min(r)
+    ):
+        raise InternalError(f"scan end for r={r} does not hold at {end}")
+    return end
+
+
 def _paper_s_bound(g: int) -> int:
     # floor(sqrt(g) - 1/2): the largest s with (2s+1)^2 <= 4g.
     return (isqrt(4 * g) - 1) // 2
@@ -284,10 +343,11 @@ def min_genus_for_rank(r: int) -> int:
 
 
 def compute_G(r: int, s_range: SRange = SRange.MAXIMAL) -> int:
-    """Smallest genus past which the kappa inequality holds for rank r.
+    """Smallest genus from which the kappa inequality holds for rank r.
 
     One more than the largest exceptional genus, or the first genus where
-    rank r is expected maximal if there is none.
+    rank r is expected maximal if there is none.  It lies at most at
+    scan_end(r).
     """
     genera = exceptional_genera(r, s_range)
     return genera[-1] + 1 if genera else min_genus_for_rank(r)
@@ -296,14 +356,14 @@ def compute_G(r: int, s_range: SRange = SRange.MAXIMAL) -> int:
 def exceptional_genera(r: int, s_range: SRange = SRange.MAXIMAL) -> list[int]:
     """All genera where the kappa inequality fails for rank r, in order.
 
-    Scans every genus from the first where rank r is expected maximal up to
-    the exact genus threshold, beyond which the inequality is guaranteed.
+    Scans every genus from the first where rank r is expected maximal,
+    min_genus_for_rank(r), up to scan_end(r), from which the inequality is
+    proven to hold.
     """
     if r < 2:
         raise DomainError(f"exceptional_genera requires r >= 2, got {r}")
-    start = min_genus_for_rank(r)
     return [
         g
-        for g in range(start, genus_threshold_min(r) + 1)
+        for g in range(min_genus_for_rank(r), scan_end(r) + 1)
         if not ineq_holds_all_s(g, r, s_range)
     ]

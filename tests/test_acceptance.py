@@ -23,6 +23,7 @@ from bnkappa.maximal_loci import (
     kappa_at_dmax,
     kappa_bounds,
     r_max_expected,
+    scan_end,
 )
 
 SHIPPED_LEDGER = "data/known.json"
@@ -114,7 +115,8 @@ def test_criterion_07_oracle_equivalence():
 
 
 def test_criterion_08_bounds_and_threshold_soundness():
-    sandwiched = fired = guaranteed = 0
+    sandwiched = fired = guaranteed = scan_ended = 0
+    ends = {r: scan_end(r) for r in range(2, r_max_expected(2000) + 1)}
     for g in range(3, 2001):
         rmax = r_max_expected(g)
         for r in range(1, rmax + 1):
@@ -129,11 +131,16 @@ def test_criterion_08_bounds_and_threshold_soundness():
             if genus_threshold_holds(g, r):
                 assert ineq_holds_all_s(g, r), (g, r)
                 guaranteed += 1
-    assert sandwiched and fired and guaranteed
+            if r >= 2 and g >= ends[r]:
+                for s_range in SRange:
+                    assert ineq_holds_all_s(g, r, s_range), (g, r, s_range)
+                scan_ended += 1
+    assert sandwiched and fired and guaranteed and scan_ended
     _announce(
         8,
         f"{sandwiched} sandwiches, {fired} f-criterion firings, "
-        f"{guaranteed} threshold guarantees, zero violations",
+        f"{guaranteed} threshold guarantees, {scan_ended} scan-end guarantees, "
+        "zero violations",
     )
 
 

@@ -1,5 +1,6 @@
 """Extremal loci: maximal degrees, kappa there, and the rank-ordering scan."""
 
+import math
 import re
 
 import pytest
@@ -25,6 +26,7 @@ from bnkappa.maximal_loci import (
     min_genus_for_rank,
     r_max_expected,
     rho_at_dmax,
+    scan_end,
 )
 
 # Published failure sets for the rank ordering, r = 2, 3, 4 (Auel-Haburcak
@@ -51,6 +53,15 @@ def _ineq_unpruned(g, r, s_range):
     return all(
         kr > kappa_at_dmax(g, s) for s in range(r + 1, maximal_loci._s_bound(g, s_range) + 1)
     )
+
+
+def _full_scan(r, s_range, holds=ineq_holds_all_s):
+    # the oracle of the scans: every genus up to the paper's threshold
+    return [
+        g
+        for g in range(min_genus_for_rank(r), genus_threshold_min(r) + 1)
+        if not holds(g, r, s_range)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +274,65 @@ def test_genus_threshold_implies_inequality():
 
 
 # ---------------------------------------------------------------------------
+# the scan end S(r)
+
+
+def test_scan_end_frozen():
+    assert {r: scan_end(r) for r in range(2, 11)} == {
+        2: 54, 3: 100, 4: 165, 5: 248, 6: 353, 7: 480, 8: 630, 9: 806, 10: 1008,
+    }
+
+
+def test_scan_end_is_the_least_genus_past_the_rank_r_plus_one_end():
+    # S(r) is the least g >= n(n+1)(1 + 2 sqrt(n)); floats are exact enough here
+    for r in range(2, 200):
+        n = r + 1
+        bound = n * (n + 1) * (1 + 2 * math.sqrt(n))
+        assert scan_end(r) - 1 < bound <= scan_end(r), r
+
+
+def test_scan_end_lies_between_the_first_genus_and_the_paper_threshold():
+    for r in range(2, 10**4 + 1):
+        assert min_genus_for_rank(r) < scan_end(r) <= genus_threshold_min(r), r
+
+
+def test_lower_bound_clears_2sqrt_g_matches_floats():
+    decided = {True: 0, False: 0}
+    for r in range(1, 31):
+        n = r + 1
+        for g in range(3, 3000):
+            margin = g / n + r - 2 * math.sqrt(n) - 2 * math.sqrt(g) - 1
+            if abs(margin) > 1e-9:
+                got = maximal_loci._lower_bound_clears_2sqrt_g(g, r)
+                assert got == (margin > 0), (g, r)
+                decided[got] += 1
+    assert decided[True] and decided[False]
+    # rank 1 is outside scan_end's domain because this fails at S(1) = 23
+    assert not maximal_loci._lower_bound_clears_2sqrt_g(23, 1)
+
+
+@pytest.mark.parametrize("name, replacement", [
+    ("surd_sign", lambda a, b, m: -1),  # the closed form no longer reaches the bound
+    ("surd_sign", lambda a, b, m: 1),  # the bound already holds one genus below
+    ("_lower_bound_clears_2sqrt_g", lambda g, r: False),
+    ("genus_threshold_min", lambda r: min_genus_for_rank(r)),
+])
+def test_scan_end_rejects_a_wrong_boundary(monkeypatch, name, replacement):
+    monkeypatch.setattr(maximal_loci, name, replacement)
+    with pytest.raises(InternalError, match="^scan end for r=5 does not hold at 248$"):
+        scan_end(5)
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_ineq_holds_from_the_scan_end_on(data):
+    r = data.draw(st.integers(min_value=2, max_value=300))
+    g = data.draw(st.integers(min_value=scan_end(r), max_value=10**12))
+    s_range = data.draw(st.sampled_from(SRange))
+    assert ineq_holds_all_s(g, r, s_range)
+
+
+# ---------------------------------------------------------------------------
 # G(r) and the exceptional genera
 
 
@@ -310,6 +380,22 @@ def test_exceptional_genera_computes_kappa_about_once_per_genus(monkeypatch, r):
         assert len(calls) <= 2 * genera, (s_range, len(calls) / genera)
 
 
+@pytest.mark.parametrize("r", [2, 10, 22, 40])
+def test_each_scan_tests_every_genus_up_to_the_scan_end_once(monkeypatch, r):
+    tested = []
+    original = maximal_loci.ineq_holds_all_s
+
+    def counted(g, r, s_range):
+        tested.append(g)
+        return original(g, r, s_range)
+
+    monkeypatch.setattr(maximal_loci, "ineq_holds_all_s", counted)
+    for s_range in SRange:
+        tested.clear()
+        compute_G(r, s_range)
+        assert tested == list(range(min_genus_for_rank(r), scan_end(r) + 1)), s_range
+
+
 def test_min_genus_for_rank_frozen():
     assert {r: min_genus_for_rank(r) for r in range(1, 11)} == {
         1: 3, 2: 6, 3: 12, 4: 20, 5: 30, 6: 42, 7: 56, 8: 72, 9: 90, 10: 110,
@@ -348,12 +434,16 @@ def test_exceptional_genera_frozen_other_ranges():
 def test_exceptional_genera_match_the_unpruned_scan():
     for s_range in SRange:
         for r in range(2, 13):
-            expected = [
-                g
-                for g in range(min_genus_for_rank(r), genus_threshold_min(r) + 1)
-                if not _ineq_unpruned(g, r, s_range)
-            ]
-            assert exceptional_genera(r, s_range) == expected, (r, s_range)
+            assert exceptional_genera(r, s_range) == _full_scan(r, s_range, _ineq_unpruned), (
+                r, s_range,
+            )
+
+
+def test_exceptional_genera_match_the_full_scan_to_rank_30():
+    # G_TABLE pins compute_G, one more than each list's last genus, to r = 30
+    for s_range in SRange:
+        for r in range(2, 31):
+            assert exceptional_genera(r, s_range) == _full_scan(r, s_range), (r, s_range)
 
 
 def test_exceptional_genera_nesting_and_G_consistency():
@@ -389,6 +479,7 @@ def test_compute_G_rejects_rank_one():
     (ineq_holds_all_s, (2, 1), "ineq_holds_all_s requires g >= 3 and r >= 1, got (2, 1)"),
     (ineq_holds_all_s, (3, 0), "ineq_holds_all_s requires g >= 3 and r >= 1, got (3, 0)"),
     (min_genus_for_rank, (0,), "min_genus_for_rank requires r >= 1, got 0"),
+    (scan_end, (1,), "scan_end requires r >= 2, got 1"),
 ])
 def test_each_function_refuses_one_step_outside_its_domain(fn, args, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
