@@ -9,14 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from bnkappa import maximal_loci
+from bnkappa import bn_core, maximal_loci
 from bnkappa.bn_core import KappaBranch, KappaResult
 from bnkappa.certificates import GenusReport, TrivialClosure
+from bnkappa.errors import DomainError
 from bnkappa.cli import (
     MAXIMAL_GENUS_CEILING,
     REPORT_GENUS_CEILING,
     SCAN_RANK_CEILING,
     SELFTEST_GENUS_CEILING,
+    _cmd_kappa,
     build_parser,
     main,
 )
@@ -87,6 +89,52 @@ def test_kappa_csv_frozen(capsys):
         "closed,6,closed-second-case,-4,11\r\n"
         "brute,6,brute-force,-4,11\r\n"
     ))
+
+
+def test_kappa_csv_frozen_on_the_serre_dual_route(capsys):
+    # rho and gamma are the input's, not its dual's (20, 3, 17)
+    code, out, _ = run(capsys, "kappa", "--g", "20", "--r", "5", "--d", "21", "--format", "csv")
+    assert (code, out) == (0, (
+        "method,value,branch,rho,gamma\r\n"
+        "closed,6,serre-dual-reduction,-4,11\r\n"
+        "brute,6,brute-force,-4,11\r\n"
+    ))
+
+
+@pytest.mark.parametrize("g, r, d, text", [
+    (1, 1, 1, "rho requires g >= 2, r >= 0, d >= 0; got (1, 1, 1)"),
+    (0, 0, 0, "rho requires g >= 2, r >= 0, d >= 0; got (0, 0, 0)"),
+    (20, -1, 17, "rho requires g >= 2, r >= 0, d >= 0; got (20, -1, 17)"),
+    (20, 3, -1, "rho requires g >= 2, r >= 0, d >= 0; got (20, 3, -1)"),
+    (20, 1, 12, "kappa undefined outside rho < 0: rho(20,1,12) = 2"),
+    (10, 10, 19, "Serre dual of (10,10,19) has negative rank or degree"),
+    (10, 11, 19, "Serre dual of (10,11,19) has negative rank or degree"),
+    (10, 6, 11, "kappa_closed requires d - 2r >= 0, got -1"),
+])
+def test_kappa_refusal_texts_frozen(capsys, g, r, d, text):
+    for fmt in ("table", "json", "csv"):
+        code, out, err = run(capsys, "kappa", "--g", str(g), "--r", str(r), "--d", str(d),
+                             "--format", fmt)
+        assert (code, out, err) == (2, "", f"error: {text}\n"), fmt
+
+
+def test_kappa_refuses_every_small_triple_with_the_closed_routes_text():
+    # the closed route runs first, so its refusal is the one raised, and no
+    # other check of the inputs comes before it; main prints it as above
+    refused = 0
+    for g in range(0, 31):
+        for r in range(-1, g + 3):
+            for d in range(-1, 2 * g + 3):
+                try:
+                    bn_core.kappa(g, r, d)
+                    continue
+                except DomainError as exc:
+                    text = str(exc)
+                with pytest.raises(DomainError) as raised:
+                    _cmd_kappa(argparse.Namespace(g=g, r=r, d=d))
+                assert str(raised.value) == text, (g, r, d)
+                refused += 1
+    assert refused > 10_000
 
 
 def test_kappa_json_structure(capsys):
@@ -226,8 +274,13 @@ def test_maximal_csv_rfc4180(capsys):
     assert code == 0
     lines = out.split("\r\n")
     assert lines[0] == "r,d,rho,kappa,lower_bound_approx,upper_bound_approx"
-    assert lines[1] == "1,10,-2,10,8.1716,11.0000"
-    assert len(lines) == 6 and lines[5] == ""
+    assert lines[1:] == [
+        "1,10,-2,10,8.1716,11.0000",
+        "2,15,-1,8,5.2026,8.6667",
+        "3,17,-4,6,4.0000,8.0000",
+        "4,19,-5,5,3.5279,8.0000",
+        "",
+    ]
 
 
 def test_maximal_json_round_trips_library_values(capsys):
