@@ -103,12 +103,14 @@ class KappaBranch(Enum):
 
 @dataclass(frozen=True)
 class KappaResult:
-    """A kappa value together with the branch taken and the inputs' rho, gamma."""
+    """A kappa value together with the branch that computed it.
+
+    rho() and clifford_index() give the input's other invariants; on the
+    Serre-dual branch the dual shares both.
+    """
 
     value: int
     branch: KappaBranch
-    rho: int
-    gamma: int
 
 
 def rho(g: int, r: int, d: int) -> int:
@@ -198,7 +200,7 @@ def kappa_brute(g: int, r: int, d: int) -> KappaResult:
             lo = mid
         else:
             hi = mid
-    return KappaResult(lo, KappaBranch.BRUTE_FORCE, rv, clifford_index(r, d))
+    return KappaResult(lo, KappaBranch.BRUTE_FORCE)
 
 
 def kappa_closed(g: int, r: int, d: int) -> KappaResult:
@@ -245,5 +247,5 @@ def kappa(g: int, r: int, d: int) -> KappaResult:
         raise DomainError(f"kappa_closed requires d - 2r >= 0, got {gamma}")
     fl = d // r
     if g + 1 > fl + d:
-        return KappaResult(fl, first, rv, gamma)
-    return KappaResult(g + 1 - gamma + floor_neg_2sqrt(-rv), second, rv, gamma)
+        return KappaResult(fl, first)
+    return KappaResult(g + 1 - gamma + floor_neg_2sqrt(-rv), second)

@@ -39,7 +39,6 @@ Serre dual are one subvariety, so that pair is not distinct either.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator, Set
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -48,7 +47,7 @@ from typing import Mapping, Optional, Union
 from . import bn_core
 from .bn_core import BNLocus
 from .errors import DomainError
-from .exact_arith import ceil_2sqrt
+from .exact_arith import floor_neg_2sqrt
 from .maximal_loci import MaximalLocusRecord, enumerate_expected_maximal
 
 __all__ = [
@@ -153,7 +152,6 @@ class Ledger:
 
     def __init__(self, entries: list[LedgerEntry]):
         self._by_key: dict[tuple, str] = {}
-        self.entries = entries
         for e in entries:
             key = (e.g, e.source, e.target)
             try:
@@ -213,13 +211,12 @@ def load_ledger(path: Union[str, Path]) -> Ledger:
     return Ledger([_parse_entry(obj, f"entry {i}") for i, obj in enumerate(data)])
 
 
-class TrivialClosure(Set[BNLocus]):
-    """Read-only set of the loci a start reaches by trivial steps.
+class TrivialClosure:
+    """The loci a start reaches by trivial steps, answered in closed form.
 
     Nothing is stored beyond the start: degrees(s) gives the reachable
-    degrees at rank s in closed form, membership asks it once, and length
-    and iteration walk it rank by rank.  The Set mixin supplies ==, <= and
-    the other comparisons, so the view compares equal to the plain set.
+    degrees at rank s in closed form, membership asks it once, and len sums
+    it over the ranks.  The loci themselves are never listed.
     """
 
     __slots__ = ("g", "r", "d")
@@ -247,11 +244,6 @@ class TrivialClosure(Set[BNLocus]):
             and target.d in self.degrees(target.r)
         )
 
-    def __iter__(self) -> Iterator[BNLocus]:
-        for s in range(1, self.r + 1):
-            for e in self.degrees(s):
-                yield BNLocus(self.g, s, e)
-
     def __len__(self) -> int:
         return sum(len(self.degrees(s)) for s in range(1, self.r + 1))
 
@@ -264,11 +256,11 @@ def trivial_closure(g: int, r: int, d: int) -> TrivialClosure:
     that target is a proper locus (rho < 0).  Only starts with r >= 1 and
     d < 2g - 2 take a step, and degrees stay <= 2g - 2.
 
-    The result is a read-only set view, not a built set: membership is O(1),
-    and TrivialClosure.degrees(s) is the closed form.  For each rank s in
-    1..r, the lowest reachable degree is x = max(d - (r - s), 0), and every
-    degree from x to 2g - 2 is reached, provided s = r or rho(g, s, x) < 0;
-    at s = r the start itself is left out.  A rank drop keeps h = g - d + r
+    Nothing is built: membership is O(1), len counts the loci reached, and
+    TrivialClosure.degrees(s) is the closed form.  For each rank s in 1..r,
+    the lowest reachable degree is x = max(d - (r - s), 0), and every degree
+    from x to 2g - 2 is reached, provided s = r or rho(g, s, x) < 0; at
+    s = r the start itself is left out.  A rank drop keeps h = g - d + r
     fixed, so rho only rises as the rank falls and the last drop is the
     hardest; a degree step lowers h, so dropping rank first is never worse.
     The step-by-step search is the oracle in the tests.
@@ -313,7 +305,7 @@ def _divisor(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Opti
         return None  # rank-1 sources are the kappa rule's job
     if source.g + 1 > source.d // source.r + source.d:
         return None
-    gap = ceil_2sqrt(-source.rho()) - 2
+    gap = -floor_neg_2sqrt(-source.rho()) - 2  # ceil(2*sqrt(-rho)) - 2
     if target.gamma() > source.gamma() + gap:
         return {
             "gamma_source": source.gamma(),

@@ -156,8 +156,10 @@ def _cmd_kappa(args) -> _Output:
         raise InternalError(
             f"kappa mismatch at ({g},{r},{d}): closed={closed.value} brute={brute.value}"
         )
+    # the input's own rho and Clifford index, which its Serre dual shares
+    rho, gamma = bn_core.rho(g, r, d), bn_core.clifford_index(r, d)
     rows = [
-        [method, k.value, k.branch.value, k.rho, k.gamma]
+        [method, k.value, k.branch.value, rho, gamma]
         for method, k in (("closed", closed), ("brute", brute))
     ]
     doc = {row[0]: dict(zip(_KAPPA_HEADERS[1:], row[1:])) for row in rows}
@@ -166,11 +168,12 @@ def _cmd_kappa(args) -> _Output:
 
 
 def _maximal_rows(records: Sequence[MaximalLocusRecord]) -> list:
-    return [
-        [rec.locus.r, rec.locus.d, rec.rho, rec.kappa.value,
-         f"{rec.lower_bound.approx():.4f}", f"{rec.upper_bound.approx():.4f}"]
-        for rec in records
-    ]
+    rows = []
+    for rec in records:
+        lower, upper = maximal_loci.kappa_bounds(rec.locus.g, rec.locus.r)
+        rows.append([rec.locus.r, rec.locus.d, rec.rho, rec.kappa.value,
+                     f"{lower.approx():.4f}", f"{upper.approx():.4f}"])
+    return rows
 
 
 _MAXIMAL_HEADERS = ["r", "d", "rho", "kappa", "lower_bound_approx", "upper_bound_approx"]

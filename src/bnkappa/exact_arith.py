@@ -15,23 +15,10 @@ from dataclasses import dataclass
 from .errors import DomainError
 
 __all__ = [
-    "isqrt",
-    "ceil_2sqrt",
     "floor_neg_2sqrt",
     "surd_sign",
     "Surd",
 ]
-
-
-def isqrt(n: int) -> int:
-    """Floor of the square root of a non-negative integer.
-
-    Wraps math.isqrt (exact integer Newton iteration with floor guarantee):
-    the result s satisfies s*s <= n < (s+1)*(s+1).
-    """
-    if n < 0:
-        raise DomainError(f"isqrt requires n >= 0, got {n}")
-    return math.isqrt(n)
 
 
 def floor_neg_2sqrt(n: int) -> int:
@@ -46,11 +33,6 @@ def floor_neg_2sqrt(n: int) -> int:
         raise DomainError(f"floor_neg_2sqrt requires n >= 1, got {n}")
     m = math.isqrt(4 * n)
     return -m if m * m == 4 * n else -(m + 1)
-
-
-def ceil_2sqrt(n: int) -> int:
-    """ceil(2*sqrt(n)) for n >= 1, exactly (= -floor_neg_2sqrt(n))."""
-    return -floor_neg_2sqrt(n)
 
 
 def _sign(x: int) -> int:

@@ -30,11 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import isqrt
 
 from . import bn_core
 from .bn_core import BNLocus, KappaResult
 from .errors import DomainError, InternalError
-from .exact_arith import Surd, floor_neg_2sqrt, isqrt, surd_sign
+from .exact_arith import Surd, floor_neg_2sqrt, surd_sign
 
 __all__ = [
     "SRange",
@@ -43,7 +44,6 @@ __all__ = [
     "r_max_expected",
     "is_expected_maximal",
     "enumerate_expected_maximal",
-    "rho_at_dmax",
     "kappa_at_dmax",
     "kappa_bounds",
     "f_criterion",
@@ -67,13 +67,14 @@ class SRange(Enum):
 
 @dataclass(frozen=True)
 class MaximalLocusRecord:
-    """An expected maximal locus with its invariants and kappa bounds."""
+    """An expected maximal locus with its rho and kappa, read from its memo.
+
+    kappa_bounds(g, r) gives the locus' kappa bracket.
+    """
 
     locus: BNLocus
     rho: int
     kappa: KappaResult
-    lower_bound: Surd  # exclusive lower bound for kappa
-    upper_bound: Surd  # inclusive upper bound for kappa
 
 
 def d_max(g: int, r: int) -> int:
@@ -116,20 +117,13 @@ def is_expected_maximal(g: int, r: int, d: int) -> bool:
     )
 
 
-def rho_at_dmax(g: int, r: int) -> int:
-    """rho at the maximal degree: -(r + 1 - (g mod (r+1))), always in [-(r+1), -1]."""
-    if g < 2 or r < 1:
-        raise DomainError(f"rho_at_dmax requires g >= 2 and r >= 1, got ({g}, {r})")
-    return -(r + 1 - g % (r + 1))
-
-
 def kappa_at_dmax(g: int, r: int) -> int:
     """kappa at the maximal degree, in closed form:
 
         floor(g/(r+1)) + r + 2 + floor(-2*sqrt(r + 1 - (g mod (r+1))))
 
-    The square root's argument is -rho_at_dmax(g, r), in [1, r+1].  At r = 1
-    this is ceil(g/2), the general gonality.
+    The square root's argument is -rho(g, r, d_max(g, r)) = r + 1 - (g mod
+    (r+1)), in [1, r+1].  At r = 1 this is ceil(g/2), the general gonality.
     """
     if g < 3 or r < 1:
         raise DomainError(f"kappa_at_dmax requires g >= 3 and r >= 1, got ({g}, {r})")
@@ -167,14 +161,11 @@ def enumerate_expected_maximal(g: int) -> list[MaximalLocusRecord]:
     records = []
     for r in range(1, top + 1):
         locus = BNLocus(g, r, d_max(g, r))
-        lower, upper = kappa_bounds(g, r)
         records.append(
             MaximalLocusRecord(
                 locus=locus,
                 rho=locus.rho(),
                 kappa=locus.kappa(),  # the locus' memo: a report's pairs share it
-                lower_bound=lower,
-                upper_bound=upper,
             )
         )
     return records

@@ -202,13 +202,7 @@ def test_rho_pflueger_at_least_rho_property(g, r, d, k):
 
 
 def test_kappa_brute_frozen():
-    res = kappa_brute(20, 1, 10)
-    assert (res.value, res.branch, res.rho, res.gamma) == (
-        10,
-        KappaBranch.BRUTE_FORCE,
-        -2,
-        8,
-    )
+    assert kappa_brute(20, 1, 10) == KappaResult(10, KappaBranch.BRUTE_FORCE)
     assert kappa_brute(20, 3, 17).value == 6
     assert kappa_brute(20, 4, 19).value == 5
     assert kappa_brute(4, 1, 2).value == 2
@@ -228,7 +222,7 @@ def test_kappa_brute_matches_linear_scan():
     for g, r, d in brute_domain(60):
         cap = general_gonality(g)
         scan = max(k for k in range(2, cap + 1) if rho_pflueger(g, r, d, k) >= 0)
-        expected = KappaResult(scan, KappaBranch.BRUTE_FORCE, rho(g, r, d), clifford_index(r, d))
+        expected = KappaResult(scan, KappaBranch.BRUTE_FORCE)
         assert kappa_brute(g, r, d) == expected, (g, r, d)
 
 
@@ -286,7 +280,9 @@ def test_kappa_dispatch_serre_reduction():
     assert res.branch == KappaBranch.SERRE_DUAL_REDUCTION
     assert res.value == 6
     assert res.value == kappa_brute(20, 5, 21).value
-    assert res.rho == rho(20, 5, 21) == -4
+    # the dual shares rho and the Clifford index, which the CLI prints
+    assert (rho(20, 5, 21), clifford_index(5, 21)) == (rho(20, 3, 17), clifford_index(3, 17))
+    assert rho(20, 5, 21) == -4
 
 
 def test_kappa_dispatch_matches_brute_above_serre_range():
@@ -338,7 +334,7 @@ def kappa_two_step(g, r, d):
     if d <= g - 1 or rv >= 0:
         return kappa_closed(g, r, d)
     dual = kappa_closed(*serre_dual(g, r, d))
-    return KappaResult(dual.value, KappaBranch.SERRE_DUAL_REDUCTION, rv, clifford_index(r, d))
+    return KappaResult(dual.value, KappaBranch.SERRE_DUAL_REDUCTION)
 
 
 def _outcome(fn, g, r, d):
@@ -415,7 +411,7 @@ def test_kappa_on_the_dual_route_equals_the_two_step_route_at_huge_genus(data):
     assume(lo <= hi)
     d = data.draw(st.integers(lo, hi), label="d")
     want = kappa_two_step(g, r, d)
-    assert want.branch == KappaBranch.SERRE_DUAL_REDUCTION and want.rho < 0
+    assert want.branch == KappaBranch.SERRE_DUAL_REDUCTION and rho(g, r, d) < 0
     assert kappa(g, r, d) == want
 
 
@@ -637,7 +633,15 @@ def test_trivial_closure_matches_search_at_larger_genus(data):
     g = data.draw(st.integers(min_value=26, max_value=120), label="g")
     r = data.draw(st.integers(min_value=0, max_value=2 * g + 1), label="r")
     d = data.draw(st.integers(min_value=0, max_value=2 * g + 1), label="d")
-    assert trivial_closure(g, r, d) == trivial_closure_by_search(g, r, d)
+    closure, walked = trivial_closure(g, r, d), trivial_closure_by_search(g, r, d)
+    by_rank = {}
+    for x in walked:
+        by_rank.setdefault(x.r, []).append(x.d)
+    assert set(by_rank) <= set(range(1, r + 1))
+    for s in range(0, r + 2):
+        assert list(closure.degrees(s)) == sorted(by_rank.get(s, [])), (g, r, d, s)
+    assert all(x in closure for x in walked)
+    assert len(closure) == len(walked)
 
 
 @given(st.data())

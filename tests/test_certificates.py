@@ -136,14 +136,19 @@ def test_trivial_closure_contents():
     assert BNLocus(20, 3, 17) in closure
     assert BNLocus(20, 2, 15) in closure
     assert BNLocus(20, 3, 16) not in closure  # the start is not its own step
-    assert all(x.g == 20 and x.d <= 38 for x in closure)
+    assert BNLocus(21, 3, 17) not in closure  # the genus never changes
+    # rho(20, 1, 14) = 6 stops the second rank drop; degrees end at 2g - 2 = 38
+    assert [closure.degrees(s) for s in range(0, 5)] == [
+        range(0), range(0), range(15, 39), range(17, 39), range(0),
+    ]
+    assert len(closure) == 24 + 22
 
 
 def test_pair_status_at_huge_genus_never_walks_the_closure(monkeypatch):
     def no_walk(self):
         pytest.fail("a membership test must not walk the closure")
 
-    monkeypatch.setattr(TrivialClosure, "__iter__", no_walk)
+    monkeypatch.setattr(TrivialClosure, "__len__", no_walk)
     g = 10**9
     low, high = BNLocus(g, 1, d_max(g, 1)), BNLocus(g, 2, d_max(g, 2))
     fwd = pair_status(low, high)
@@ -471,7 +476,12 @@ def _entry(**overrides):
 
 
 def test_shipped_ledger_contents(ledger):
-    assert len(ledger.entries) == 11
+    with open(SHIPPED_LEDGER, encoding="utf-8") as fh:
+        entries = json.load(fh)
+    assert len(entries) == 11
+    for e in entries:  # every shipped entry is reachable by its own pair
+        source, target = BNLocus(e["g"], *e["source"]), BNLocus(e["g"], *e["target"])
+        assert ledger.lookup(source, target) == e["cite"]
     assert ledger.lookup(BNLocus(20, 3, 17), BNLocus(20, 1, 10)) == "Auel-Haburcak 2022"
     assert ledger.lookup(BNLocus(21, 4, 20), BNLocus(21, 3, 18)) == "Auel-Haburcak 2022"
     # the one genuinely open direction is deliberately absent

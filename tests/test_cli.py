@@ -179,7 +179,7 @@ def test_rhok_and_kappa_at_huge_rank(capsys):
 
 
 def test_kappa_method_mismatch_is_internal_error(capsys, monkeypatch):
-    fake = KappaResult(7, KappaBranch.BRUTE_FORCE, -4, 11)
+    fake = KappaResult(7, KappaBranch.BRUTE_FORCE)
     monkeypatch.setattr("bnkappa.bn_core.kappa_brute", lambda g, r, d: fake)
     code, _, err = run(capsys, "kappa", "--g", "20", "--r", "3", "--d", "17")
     assert code == 3
@@ -294,7 +294,9 @@ def test_maximal_json_round_trips_library_values(capsys):
         assert row["d"] == rec.locus.d
         assert row["rho"] == rec.rho
         assert row["kappa"] == rec.kappa.value
-        assert row["lower_bound_approx"] == f"{rec.lower_bound.approx():.4f}"
+        lower, upper = maximal_loci.kappa_bounds(21, rec.locus.r)
+        assert row["lower_bound_approx"] == f"{lower.approx():.4f}"
+        assert row["upper_bound_approx"] == f"{upper.approx():.4f}"
 
 
 def test_maximal_domain_error(capsys):
@@ -491,7 +493,7 @@ def test_check_at_huge_genus_never_walks_the_closure(capsys, monkeypatch):
     def no_walk(self):
         pytest.fail("a membership test must not walk the closure")
 
-    monkeypatch.setattr(TrivialClosure, "__iter__", no_walk)
+    monkeypatch.setattr(TrivialClosure, "__len__", no_walk)
     g = 10**9  # d_max(g, 1) and d_max(g, 2)
     code, out, _ = run(capsys, "check", "--source", f"{g},1,500000000",
                        "--target", f"{g},2,666666668", "--format", "csv")

@@ -1,43 +1,35 @@
-"""Exact-arithmetic layer: isqrt, the sqrt-floor helpers, and surd signs."""
+"""Exact-arithmetic layer: the sqrt-floor helper and surd signs."""
 
 import random
 from decimal import Decimal, localcontext
+from math import isqrt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bnkappa.errors import DomainError
-from bnkappa.exact_arith import Surd, ceil_2sqrt, floor_neg_2sqrt, isqrt, surd_sign
+from bnkappa.exact_arith import Surd, floor_neg_2sqrt, surd_sign
 
 
-def test_isqrt_small_values_frozen():
-    # 0,1,2,3,4,8,9,15,16 -> 0,1,1,1,2,2,3,3,4
-    assert [isqrt(n) for n in (0, 1, 2, 3, 4, 8, 9, 15, 16)] == [0, 1, 1, 1, 2, 2, 3, 3, 4]
+def _is_ceil_2sqrt(m, n):
+    # m = ceil(2*sqrt(n)) iff (m-1)^2 < 4n <= m^2, for m >= 1
+    return m >= 1 and (m - 1) * (m - 1) < 4 * n <= m * m
 
 
-def test_isqrt_floor_property_exhaustive_range():
-    for n in range(0, 100_000):
-        s = isqrt(n)
-        assert s * s <= n < (s + 1) * (s + 1)
+def test_floor_neg_2sqrt_ceiling_property_exhaustive_range():
+    for n in range(1, 100_000):
+        assert _is_ceil_2sqrt(-floor_neg_2sqrt(n), n), n
 
 
-def test_isqrt_floor_property_large_strided():
-    # cover the full 10^6 contract range without looping a million times
-    for n in range(0, 10**6 + 1, 997):
-        s = isqrt(n)
-        assert s * s <= n < (s + 1) * (s + 1)
+def test_floor_neg_2sqrt_ceiling_property_large_strided():
+    for n in range(1, 10**6 + 1, 997):
+        assert _is_ceil_2sqrt(-floor_neg_2sqrt(n), n), n
 
 
-@given(st.integers(min_value=0, max_value=10**18))
-def test_isqrt_floor_property_random(n):
-    s = isqrt(n)
-    assert s * s <= n < (s + 1) * (s + 1)
-
-
-def test_isqrt_rejects_negative():
-    with pytest.raises(DomainError):
-        isqrt(-1)
+@given(st.integers(min_value=1, max_value=10**18))
+def test_floor_neg_2sqrt_ceiling_property_random(n):
+    assert _is_ceil_2sqrt(-floor_neg_2sqrt(n), n)
 
 
 def test_floor_neg_2sqrt_frozen():
@@ -52,7 +44,6 @@ def test_floor_neg_2sqrt_matches_linear_search_oracle():
         while m * m < 4 * n:
             m += 1
         assert floor_neg_2sqrt(n) == -m
-        assert ceil_2sqrt(n) == m
 
 
 def test_floor_neg_2sqrt_rejects_nonpositive():
