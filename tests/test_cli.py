@@ -433,6 +433,61 @@ def test_report_missing_ledger_exit_1(capsys, tmp_path):
     assert code == 1 and "malformed ledger" in err
 
 
+def _ledger_entry(**overrides):
+    return {"g": 20, "source": [3, 17], "target": [1, 10], "cite": "X 2020", **overrides}
+
+
+_SHAPE = "error: malformed ledger: entry {}: {}\n"
+_PAIR = "error: malformed ledger: ledger entry for {}: {}\n"
+
+
+@pytest.mark.parametrize("entries, err", [
+    ([_ledger_entry(extra=1)], _SHAPE.format(0, "unknown fields ['extra']")),
+    ([{"g": 20, "source": [3, 17], "target": [1, 10]}],
+     _SHAPE.format(0, "missing fields ['cite']")),
+    ([_ledger_entry(g=True)], _SHAPE.format(0, "g must be an integer")),
+    ([_ledger_entry(g="20")], _SHAPE.format(0, "g must be an integer")),
+    ([_ledger_entry(source=[3])],
+     _SHAPE.format(0, "source must be a [rank, degree] pair of integers")),
+    ([_ledger_entry(source=[3, "17"])],
+     _SHAPE.format(0, "source must be a [rank, degree] pair of integers")),
+    ([_ledger_entry(target=[1, True])],
+     _SHAPE.format(0, "target must be a [rank, degree] pair of integers")),
+    ([_ledger_entry(cite="")], _SHAPE.format(0, "cite must be a non-empty string")),
+    ([_ledger_entry(cite=7)], _SHAPE.format(0, "cite must be a non-empty string")),
+    ([_ledger_entry(target=[3, 17])],
+     _PAIR.format("(20, (3, 17), (3, 17))", "ledger requires distinct loci")),
+    ([_ledger_entry(target=[5, 21])],
+     _PAIR.format("(20, (3, 17), (5, 21))", "ledger requires distinct loci")),
+    ([_ledger_entry(source=[1, 19])],
+     _PAIR.format("(20, (1, 19), (1, 10))", "ledger requires both loci to have rho < 0")),
+    ([_ledger_entry(source=[-1, 5])],
+     _PAIR.format("(20, (-1, 5), (1, 10))", "rank and degree must be >= 0, got r=-1 d=5")),
+    ([_ledger_entry(g=1)], _PAIR.format("(1, (3, 17), (1, 10))", "genus must be >= 2, got 1")),
+    ([[20, [3, 17], [1, 10], "X 2020"]], _SHAPE.format(0, "expected an object, got list")),
+    (["X 2020"], _SHAPE.format(0, "expected an object, got str")),
+    ([_ledger_entry(), _ledger_entry()],
+     "error: malformed ledger: duplicate ledger entry for (20, (3, 17), (1, 10))\n"),
+    # every entry's shape is checked before any entry's pair: entry 0's equal
+    # pair is not reported, entry 1's empty cite is
+    ([_ledger_entry(target=[3, 17]), _ledger_entry(cite="")],
+     _SHAPE.format(1, "cite must be a non-empty string")),
+])
+def test_report_ledger_error_texts_frozen(capsys, tmp_path, entries, err):
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps(entries))
+    assert run(capsys, "report", "--g", "20", "--ledger", str(path)) == (1, "", err)
+
+
+def test_report_unreadable_ledger_text_frozen(capsys, tmp_path):
+    path = tmp_path / "no.json"
+    err = (
+        f"error: malformed ledger: cannot read ledger {path}: "
+        f"[Errno 2] No such file or directory: '{path}'\n"
+    )
+    assert run(capsys, "report", "--g", "20", "--ledger", str(path)) == (1, "", err)
+
+
 @pytest.mark.parametrize("argv", [
     ("report", "--g", str(REPORT_GENUS_CEILING + 1)),
     ("report", "--g", str(REPORT_GENUS_CEILING + 1), "--ledger", LEDGER, "--format", "csv"),
