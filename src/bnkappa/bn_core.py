@@ -44,14 +44,6 @@ __all__ = [
 ]
 
 
-def _require_locus(g: int, r: int, d: int) -> None:
-    """Raise DomainError unless (g, r, d) indexes a locus: g >= 2, r, d >= 0."""
-    if g < 2:
-        raise DomainError(f"genus must be >= 2, got {g}")
-    if r < 0 or d < 0:
-        raise DomainError(f"rank and degree must be >= 0, got r={r} d={d}")
-
-
 @dataclass(frozen=True, order=True)
 class BNLocus:
     """Index triple (g, r, d) of a Brill-Noether locus.
@@ -61,6 +53,8 @@ class BNLocus:
     a frozen dataclass allows.  The memo is not a field, so equality, hashing,
     ordering and repr see only (g, r, d).  A DomainError is not memoized, and
     nothing is shared between instances.
+
+    Building one validates it: g >= 2 and r, d >= 0, or DomainError.
     """
 
     g: int
@@ -68,7 +62,10 @@ class BNLocus:
     d: int
 
     def __post_init__(self) -> None:
-        _require_locus(self.g, self.r, self.d)
+        if self.g < 2:
+            raise DomainError(f"genus must be >= 2, got {self.g}")
+        if self.r < 0 or self.d < 0:
+            raise DomainError(f"rank and degree must be >= 0, got r={self.r} d={self.d}")
 
     @cached_property
     def _rho(self) -> int:

@@ -22,6 +22,8 @@ to published facts:
                        published non-containments, each entry with its
                        citation.
 
+Every locus here is a BNLocus, validated once, when it is built: the
+trivial closure, the rules and the ledger take loci, not index tuples.
 Each rule is written once, as a derive function in the ordered table
 _RULES.  pair_status is the one way to ask for a certificate: it walks the
 table in exactly that order, so reports are deterministic.  Absence of a
@@ -58,7 +60,6 @@ __all__ = [
     "PairVerdict",
     "GenusReport",
     "Ledger",
-    "LedgerEntry",
     "LedgerError",
     "load_ledger",
     "TrivialClosure",
@@ -135,44 +136,38 @@ class GenusReport:
         return not self.open_pairs
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
-    g: int
-    source: tuple[int, int]  # (rank, degree)
-    target: tuple[int, int]
-    cite: str
-
-
 class Ledger:
-    """Published non-containment facts, keyed by (g, source, target).
+    """Published non-containment facts: one citation per (source, target) pair.
 
-    An entry naming a pair that pair_status refuses is rejected: no query
-    could ever reach it.
+    Built from the ledger's JSON entries.  Every entry's shape is checked
+    before any entry's pair, so a file with both kinds of fault reports a
+    misshapen entry.  A pair that pair_status refuses is rejected, since no
+    query could reach it, and so is a second entry for one pair.
     """
 
-    def __init__(self, entries: list[LedgerEntry]):
-        self._by_key: dict[tuple, str] = {}
-        for e in entries:
-            key = (e.g, e.source, e.target)
+    def __init__(self, entries: list):
+        parsed = [_parse_entry(obj, f"entry {i}") for i, obj in enumerate(entries)]
+        self._cites: dict[tuple[BNLocus, BNLocus], str] = {}
+        for g, source, target, cite in parsed:
+            key = (g, source, target)
             try:
-                source, target = BNLocus(e.g, *e.source), BNLocus(e.g, *e.target)
-                _require_admissible_pair(source, target, "ledger")
+                pair = BNLocus(g, *source), BNLocus(g, *target)
+                _require_admissible_pair(*pair, "ledger")
             except DomainError as exc:
                 raise LedgerError(f"ledger entry for {key}: {exc}") from exc
-            if key in self._by_key:
+            if pair in self._cites:
                 raise LedgerError(f"duplicate ledger entry for {key}")
-            self._by_key[key] = e.cite
+            self._cites[pair] = cite
 
     def lookup(self, source: BNLocus, target: BNLocus) -> Optional[str]:
-        if source.g != target.g:
-            return None
-        return self._by_key.get((source.g, (source.r, source.d), (target.r, target.d)))
+        return self._cites.get((source, target))
 
 
 _ENTRY_FIELDS = {"g", "source", "target", "cite"}
 
 
-def _parse_entry(obj: object, where: str) -> LedgerEntry:
+def _parse_entry(obj: object, where: str) -> tuple[int, tuple, tuple, str]:
+    """(g, (r, d), (s, e), cite) from one entry whose shape is valid."""
     if not isinstance(obj, dict):
         raise LedgerError(f"{where}: expected an object, got {type(obj).__name__}")
     unknown = set(obj) - _ENTRY_FIELDS
@@ -193,7 +188,7 @@ def _parse_entry(obj: object, where: str) -> LedgerEntry:
             raise LedgerError(f"{where}: {name} must be a [rank, degree] pair of integers")
     if not isinstance(cite, str) or not cite:
         raise LedgerError(f"{where}: cite must be a non-empty string")
-    return LedgerEntry(g, (source[0], source[1]), (target[0], target[1]), cite)
+    return g, tuple(source), tuple(target), cite
 
 
 def load_ledger(path: Union[str, Path]) -> Ledger:
@@ -208,22 +203,22 @@ def load_ledger(path: Union[str, Path]) -> Ledger:
         raise LedgerError(f"invalid JSON in ledger {path}: {exc}") from exc
     if not isinstance(data, list):
         raise LedgerError(f"ledger {path} must be one JSON array, got {type(data).__name__}")
-    return Ledger([_parse_entry(obj, f"entry {i}") for i, obj in enumerate(data)])
+    return Ledger(data)
 
 
 class TrivialClosure:
-    """The loci a start reaches by trivial steps, answered in closed form.
+    """The loci a start locus reaches by trivial steps, answered in closed form.
 
-    Nothing is stored beyond the start: degrees(s) gives the reachable
-    degrees at rank s in closed form, membership asks it once, and len sums
-    it over the ranks.  The loci themselves are never listed.
+    Nothing is stored beyond the start's indices: degrees(s) gives the
+    reachable degrees at rank s in closed form, membership of a BNLocus asks
+    it once, and len sums it over the ranks.  The loci themselves are never
+    listed.
     """
 
     __slots__ = ("g", "r", "d")
 
-    def __init__(self, g: int, r: int, d: int):
-        bn_core._require_locus(g, r, d)
-        self.g, self.r, self.d = g, r, d
+    def __init__(self, start: BNLocus):
+        self.g, self.r, self.d = start.g, start.r, start.d
 
     def degrees(self, s: int) -> range:
         """The degrees reachable at rank s: an interval ending at 2g - 2, or empty."""
@@ -248,8 +243,8 @@ class TrivialClosure:
         return sum(len(self.degrees(s)) for s in range(1, self.r + 1))
 
 
-def trivial_closure(g: int, r: int, d: int) -> TrivialClosure:
-    """All loci reachable from (g, r, d) by one or more trivial steps.
+def trivial_closure(start: BNLocus) -> TrivialClosure:
+    """All loci reachable from start = (g, r, d) by one or more trivial steps.
 
     A trivial step holds for every curve: adding a base point takes (r, d)
     to (r, d+1), and removing a non-base point takes it to (r-1, d-1) while
@@ -265,7 +260,7 @@ def trivial_closure(g: int, r: int, d: int) -> TrivialClosure:
     hardest; a degree step lowers h, so dropping rank first is never worse.
     The step-by-step search is the oracle in the tests.
     """
-    return TrivialClosure(g, r, d)
+    return TrivialClosure(start)
 
 
 def _require_admissible_pair(source: BNLocus, target: BNLocus, op: str) -> None:
@@ -372,7 +367,7 @@ def pair_status(
     order, or OPEN when no rule applies.  OPEN never asserts containment.
     """
     _require_admissible_pair(source, target, "pair_status")
-    if target in trivial_closure(source.g, source.r, source.d):
+    if target in trivial_closure(source):
         return _TRIVIAL_CONTAINMENT
     cert = _derive_certificate(source, target, ledger)
     if cert is not None:

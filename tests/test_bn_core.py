@@ -620,7 +620,7 @@ def test_trivial_closure_matches_search_on_every_small_start():
                         merge(want, step.r, step.d, step.d)
                         for rank, (lo, hi) in done[step.r, step.d].items():
                             merge(want, rank, lo, hi)
-                closure = trivial_closure(g, r, d)
+                closure = trivial_closure(BNLocus(g, r, d))
                 for s in range(0, r + 2):
                     lo, hi = want.get(s, (0, -1))
                     assert closure.degrees(s) == range(lo, hi + 1), (g, r, d, s)
@@ -633,7 +633,7 @@ def test_trivial_closure_matches_search_at_larger_genus(data):
     g = data.draw(st.integers(min_value=26, max_value=120), label="g")
     r = data.draw(st.integers(min_value=0, max_value=2 * g + 1), label="r")
     d = data.draw(st.integers(min_value=0, max_value=2 * g + 1), label="d")
-    closure, walked = trivial_closure(g, r, d), trivial_closure_by_search(g, r, d)
+    closure, walked = trivial_closure(BNLocus(g, r, d)), trivial_closure_by_search(g, r, d)
     by_rank = {}
     for x in walked:
         by_rank.setdefault(x.r, []).append(x.d)
@@ -650,7 +650,7 @@ def test_trivial_closure_membership_matches_search(data):
     g = data.draw(st.integers(min_value=26, max_value=120), label="g")
     r = data.draw(st.integers(min_value=0, max_value=2 * g + 1), label="r")
     d = data.draw(st.integers(min_value=0, max_value=2 * g + 1), label="d")
-    closure, walked = trivial_closure(g, r, d), trivial_closure_by_search(g, r, d)
+    closure, walked = trivial_closure(BNLocus(g, r, d)), trivial_closure_by_search(g, r, d)
     s = data.draw(st.integers(min_value=0, max_value=r + 1), label="s")
     e = data.draw(st.integers(min_value=0, max_value=2 * g + 1), label="e")
     if walked and data.draw(st.booleans(), label="use a hit"):
@@ -674,13 +674,16 @@ def test_trivial_closure_len_is_the_walks_size():
         (60, 1, 30), (60, 5, 40), (60, 12, 3), (120, 4, 100), (120, 241, 0),
     ]
     for g, r, d in starts:
-        assert len(trivial_closure(g, r, d)) == len(trivial_closure_by_search(g, r, d)), (g, r, d)
+        assert len(trivial_closure(BNLocus(g, r, d))) == len(trivial_closure_by_search(g, r, d)), (g, r, d)
 
 
 def test_trivial_closure_rejects_an_invalid_start():
-    for g, r, d in ((1, 1, 0), (20, -1, 5), (20, 3, -1)):
-        with pytest.raises(DomainError) as expected:
-            BNLocus(g, r, d)
+    # the start is a BNLocus, so an invalid one is refused as it is built
+    for (g, r, d), text in (
+        ((1, 1, 0), "genus must be >= 2, got 1"),
+        ((20, -1, 5), "rank and degree must be >= 0, got r=-1 d=5"),
+        ((20, 3, -1), "rank and degree must be >= 0, got r=3 d=-1"),
+    ):
         with pytest.raises(DomainError) as raised:
-            trivial_closure(g, r, d)
-        assert str(raised.value) == str(expected.value)
+            trivial_closure(BNLocus(g, r, d))
+        assert str(raised.value) == text

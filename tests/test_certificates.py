@@ -9,7 +9,6 @@ from bnkappa import bn_core, certificates
 from bnkappa.bn_core import BNLocus, clifford_index, rho
 from bnkappa.certificates import (
     Ledger,
-    LedgerEntry,
     LedgerError,
     NonContainmentCertificate,
     Rule,
@@ -132,7 +131,7 @@ def test_self_pair_certificate_never_verifies():
 
 
 def test_trivial_closure_contents():
-    closure = trivial_closure(20, 3, 16)
+    closure = trivial_closure(BNLocus(20, 3, 16))
     assert BNLocus(20, 3, 17) in closure
     assert BNLocus(20, 2, 15) in closure
     assert BNLocus(20, 3, 16) not in closure  # the start is not its own step
@@ -263,7 +262,7 @@ def test_equidimensional_flip_frozen():
 def test_established_and_trivial_containment_disjoint():
     for g in range(10, 61, 5):
         for verdict in genus_report(g).pairs:
-            closure = trivial_closure(verdict.source.g, verdict.source.r, verdict.source.d)
+            closure = trivial_closure(verdict.source)
             if verdict.status.kind is StatusKind.ESTABLISHED:
                 assert verdict.target not in closure
             if verdict.status.kind is StatusKind.TRIVIAL_CONTAINMENT:
@@ -555,6 +554,5 @@ def test_load_ledger_rejects_duplicates_and_garbage(tmp_path):
 
 
 def test_ledger_duplicate_key_rejected_at_construction():
-    entry = LedgerEntry(20, (3, 17), (1, 10), "X 2020")
-    with pytest.raises(LedgerError):
-        Ledger([entry, entry])
+    with pytest.raises(LedgerError, match="duplicate ledger entry"):
+        Ledger([_entry(), _entry()])

@@ -52,14 +52,12 @@ def test_floor_neg_2sqrt_rejects_nonpositive():
 
 
 def test_sqrt_floor_lemma():
-    # ceil(sqrt(4n)) = ceil(sqrt(4n-1)): 4n-1 is never a perfect square
+    # floor(-2*sqrt(n)) = -ceil(sqrt(4n)) = -ceil(sqrt(4n-1)): 4n-1 is never
+    # a perfect square, so its ceiling is isqrt(4n-1) + 1
     for n in range(1, 100_001):
-        a = isqrt(4 * n)
         b = isqrt(4 * n - 1)
-        ca = a if a * a == 4 * n else a + 1
-        cb = b + 1  # 4n-1 is not a square, so the ceil always rounds up
         assert b * b != 4 * n - 1
-        assert ca == cb
+        assert floor_neg_2sqrt(n) == -(b + 1)
 
 
 def test_surd_sign_frozen_cases():

@@ -9,6 +9,9 @@ the tests do, so a reference from it does not count.  The package's
 `__init__` only re-exports, so it does not count either: its `__all__` is
 exactly the engine modules' `__all__` lists, and the version is declared
 once, in `__init__`.
+
+No module of the package refers to another module's private (`_name`) names,
+whether as `module._name` or through `from .module import _name`.
 """
 
 import ast
@@ -67,12 +70,19 @@ def _references(module, tree):
                 yield (modules[node.value.id], node.attr), owner
 
 
-def test_every_export_is_used_by_the_library():
-    trees = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"))
-        for path in PACKAGE.glob("*.py")
-        if path.stem != "__init__"
+def _trees():
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")
     }
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_every_export_is_used_by_the_library():
+    trees = _trees()
+    del trees["__init__"]
     used = set()
     for module, tree in trees.items():
         if module == "selfcheck":
@@ -82,6 +92,22 @@ def test_every_export_is_used_by_the_library():
                 used.add((source, name))
     exported = {(m, name) for m in MODULES for name in _exports(trees[m])}
     assert exported - used == UNUSED_BY_DESIGN
+
+
+def test_no_module_refers_to_another_modules_private_names():
+    reaches = set()
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                reaches.update(
+                    (module, node.module, alias.name)
+                    for alias in node.names
+                    if _private(alias.name)
+                )
+        for (source, name), _ in _references(module, tree):
+            if source != module and _private(name):
+                reaches.add((module, source, name))
+    assert reaches == set()
 
 
 def test_the_package_exports_exactly_the_engine_modules_all():
