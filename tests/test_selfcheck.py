@@ -34,3 +34,9 @@ def test_run_all_certifies_genera_above_30():
         _counts(run_all(40))["certificate-reverification"][0]
         > _counts(run_all(30))["certificate-reverification"][0]
     )
+
+
+def test_exact_arithmetic_suite_runs_one_check_per_case():
+    # floor_neg_2sqrt on n = 1..4,999 and surd_sign on 2,000 random surds
+    result = suite_exact_arithmetic()
+    assert (result.passed, result.failed) == (6_999, 0)
