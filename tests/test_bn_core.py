@@ -674,7 +674,8 @@ def test_trivial_closure_len_is_the_walks_size():
         (60, 1, 30), (60, 5, 40), (60, 12, 3), (120, 4, 100), (120, 241, 0),
     ]
     for g, r, d in starts:
-        assert len(trivial_closure(BNLocus(g, r, d))) == len(trivial_closure_by_search(g, r, d)), (g, r, d)
+        closure = trivial_closure(BNLocus(g, r, d))
+        assert len(closure) == len(trivial_closure_by_search(g, r, d)), (g, r, d)
 
 
 def test_trivial_closure_rejects_an_invalid_start():
