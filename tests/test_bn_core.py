@@ -442,6 +442,45 @@ def test_kappa_builds_one_result_and_computes_rho_once(monkeypatch, g, r, d, bra
     assert rhos == [(g, r, d)]
 
 
+@pytest.mark.parametrize("fn, args, text", [
+    (kappa, (4, 1, 2),
+     "KappaResult(value=2, branch=<KappaBranch.CLOSED_FIRST_CASE: 'closed-first-case'>)"),
+    (kappa, (20, 3, 17),
+     "KappaResult(value=6, branch=<KappaBranch.CLOSED_SECOND_CASE: 'closed-second-case'>)"),
+    (kappa, (20, 5, 21),
+     "KappaResult(value=6, branch=<KappaBranch.SERRE_DUAL_REDUCTION: 'serre-dual-reduction'>)"),
+    (kappa_brute, (20, 1, 10),
+     "KappaResult(value=10, branch=<KappaBranch.BRUTE_FORCE: 'brute-force'>)"),
+])
+def test_kappa_result_repr_frozen(fn, args, text):
+    assert repr(fn(*args)) == text
+
+
+def test_kappa_result_equality_and_hash():
+    res, plain = kappa(20, 3, 17), (6, KappaBranch.CLOSED_SECOND_CASE)
+    same = KappaResult(*plain)
+    assert res == same and not res != same
+    assert hash(res) == hash(same) == hash(plain)
+    assert res != KappaResult(6, KappaBranch.BRUTE_FORCE) and res != KappaResult(7, plain[1])
+    # equal only to a KappaResult: never to the plain tuple of its fields
+    assert res != plain and plain != res and not res == plain and not plain == res
+    assert len({res, same, plain}) == 2
+
+
+def test_kappa_result_is_immutable_and_unordered():
+    res = kappa(20, 3, 17)
+    for name in ("value", "branch", "other"):
+        with pytest.raises(AttributeError):
+            setattr(res, name, 7)
+    assert (res.value, res.branch) == (6, KappaBranch.CLOSED_SECOND_CASE)
+    plain = (res.value, res.branch)
+    for a, b in ((res, res), (res, plain), (plain, res)):
+        for compare in (lambda x, y: x < y, lambda x, y: x <= y,
+                        lambda x, y: x > y, lambda x, y: x >= y):
+            with pytest.raises(TypeError):
+                compare(a, b)
+
+
 def test_kappa_oracle_equivalence_small():
     # the full g <= 60 sweep runs in the acceptance suite; keep a quick gate here
     for g, r, d in admissible_triples(40):
