@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DomainError, InternalError
 from .exact_arith import floor_neg_2sqrt
@@ -98,16 +99,42 @@ class KappaBranch(Enum):
     SERRE_DUAL_REDUCTION = "serre-dual-reduction"
 
 
-@dataclass(frozen=True)
-class KappaResult:
+def _unordered(op: str):
+    def compare(self, other):
+        raise TypeError(
+            f"'{op}' not supported between instances of "
+            f"{type(self).__name__!r} and {type(other).__name__!r}"
+        )
+
+    return compare
+
+
+class KappaResult(NamedTuple):
     """A kappa value together with the branch that computed it.
 
     rho() and clifford_index() give the input's other invariants; on the
     Serre-dual branch the dual shares both.
+
+    A named tuple, which is cheap to build (kappa builds one per call), but
+    not a plain tuple: it equals only a result of its own class, never the
+    tuple (value, branch); it hashes like that tuple; it has no order.
     """
 
     value: int
     branch: KappaBranch
+
+    def __eq__(self, other):
+        # the instance's own class, not the module-level name, which may be rebound
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = tuple.__hash__
+    __lt__, __le__, __gt__, __ge__ = map(_unordered, ("<", "<=", ">", ">="))
 
 
 def rho(g: int, r: int, d: int) -> int:
@@ -126,7 +153,7 @@ def clifford_index(r: int, d: int) -> int:
 
 def r_prime(g: int, r: int, d: int) -> int:
     """Rank cutoff min(r, g - d + r - 1) for the k-gonal adjustment."""
-    # a comparison, not min(): rho_pflueger calls this on every probe
+    # a comparison, not min(): rho_pflueger and kappa_brute call it once each
     top = g - d + r - 1
     return r if r <= top else top
 
@@ -141,21 +168,25 @@ def rho_pflueger(g: int, r: int, d: int, k: int) -> int:
 
     rho_k(g, r, d) = max over 0 <= l <= r' of  rho(g, r - l, d) - l*k,
     with r' = min(r, g - d + r - 1).  The l = 0 term is always included, so
-    rho_k >= rho.
-
-    With A = r + 1 and h = g - d + r, term l is g - A*h + (A + h - k)*l - l^2,
-    a concave parabola in l with vertex at (A + h - k)/2.  When A + h - k is
-    odd the two integers beside the vertex tie, so the vertex's ceiling,
-    clamped to [0, max(0, r')], is a maximiser and one evaluation gives rho_k.
+    rho_k >= rho.  Checks its arguments, then evaluates _rho_k.
     """
     if k < 2:
         raise DomainError(f"gonality k must be >= 2, got {k}")
     if g < 2 or r < 0 or d < 0:
         raise DomainError(f"rho_pflueger requires g >= 2, r >= 0, d >= 0; got ({g}, {r}, {d})")
-    a, h = r + 1, g - d + r
+    return _rho_k(g, r + 1, g - d + r, r_prime(g, r, d), k)
+
+
+def _rho_k(g: int, a: int, h: int, top: int, k: int) -> int:
+    """rho_k from a = r + 1, h = g - d + r and top = r', unchecked.
+
+    Term l of rho_k is g - a*h + (a + h - k)*l - l^2, a concave parabola in l
+    with vertex at (a + h - k)/2.  When a + h - k is odd the two integers
+    beside the vertex tie, so the vertex's ceiling, clamped to
+    [0, max(0, top)], is a maximiser and one evaluation gives rho_k.
+    """
     # plain comparisons, not min/max: this is kappa_brute's inner step
     l = (a + h - k + 1) // 2
-    top = r_prime(g, r, d)
     if l > top:
         l = top
     if l < 0:
@@ -166,14 +197,15 @@ def rho_pflueger(g: int, r: int, d: int, k: int) -> int:
 def kappa_brute(g: int, r: int, d: int) -> KappaResult:
     """Gonality invariant from the definition: the largest k with rho_k >= 0.
 
-    Bisects over k in [2, floor((g+3)/2)], evaluating rho_pflueger at each
-    probe.  This is sound because every term rho(g, r - l, d) - l*k of rho_k
-    has l >= 0, so rho_k is non-increasing in k and the k with rho_k >= 0
-    form an initial segment of the range.  The cap is probed first (rho_k >= 0
-    there contradicts rho < 0) and then k = 2 (rho_2 < 0 means no k
-    qualifies); both are InternalErrors.  Cost: O(log g) evaluations of
-    rho_k, each O(1) by its parabola vertex, against O(g) for a scan over
-    every k.
+    Checks (g, r, d) once, computes a = r + 1, h = g - d + r and r' once, and
+    bisects over k in [2, floor((g+3)/2)], evaluating the unchecked _rho_k at
+    each probe; no closed form of kappa is used.  This is sound because every
+    term rho(g, r - l, d) - l*k of rho_k has l >= 0, so rho_k is
+    non-increasing in k and the k with rho_k >= 0 form an initial segment of
+    the range.  The cap is probed first (rho_k >= 0 there contradicts
+    rho < 0) and then k = 2 (rho_2 < 0 means no k qualifies); both are
+    InternalErrors.  Cost: O(log g) evaluations of rho_k, each O(1) by its
+    parabola vertex, against O(g) for a scan over every k.
     Requires rho < 0 (otherwise kappa is undefined) and d - 2r >= 0
     (otherwise no k qualifies).  No k qualifies when g - d + r <= 0 either,
     but then rho >= g, so rho < 0 already rules that out.
@@ -183,17 +215,18 @@ def kappa_brute(g: int, r: int, d: int) -> KappaResult:
         raise DomainError(f"kappa undefined outside rho < 0: rho({g},{r},{d}) = {rv}")
     if d - 2 * r < 0:
         raise DomainError(f"kappa_brute requires d - 2r >= 0, got {d - 2 * r}")
+    a, h, top = r + 1, g - d + r, r_prime(g, r, d)
     cap = general_gonality(g)
-    if rho_pflueger(g, r, d, cap) >= 0:
+    if _rho_k(g, a, h, top, cap) >= 0:
         raise InternalError(
             f"rho_k >= 0 at the general gonality k={cap} although rho({g},{r},{d}) < 0"
         )
-    if rho_pflueger(g, r, d, 2) < 0:
+    if _rho_k(g, a, h, top, 2) < 0:
         raise InternalError(f"no gonality k in [2, {cap}] admits ({g},{r},{d}); expected k=2 to")
     lo, hi = 2, cap  # invariant: rho_lo >= 0 > rho_hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if rho_pflueger(g, r, d, mid) >= 0:
+        if _rho_k(g, a, h, top, mid) >= 0:
             lo = mid
         else:
             hi = mid

@@ -195,7 +195,10 @@ def load_ledger(path: Union[str, Path]) -> Ledger:
     """Load a ledger from one JSON array of entries."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
+        # the OS reason alone: str(exc) would name the path a second time
+        raise LedgerError(f"cannot read ledger {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
         raise LedgerError(f"cannot read ledger {path}: {exc}") from exc
     try:
         data = json.loads(text)

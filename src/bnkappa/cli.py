@@ -278,8 +278,9 @@ MAXIMAL_GENUS_CEILING = 10**10
 
 # The kappa oracle suite checks closed against brute kappa on every admissible
 # triple up to --gmax, about gmax^3/12 of them at O(log g) each: `selftest
-# --gmax 160` takes about 4.3-4.8 s on a 2-vCPU VM (about 4 s of it in that
-# suite, 0.25 s certifying genera up to 160), so larger sweeps are refused.
+# --gmax 160` takes about 1.7-2.0 s on a 2-vCPU VM (about 1.6-1.7 s of it in
+# that suite, about 0.1 s certifying genera up to 160), so larger sweeps are
+# refused.
 # The library's selfcheck.run_all takes any gmax.
 SELFTEST_GENUS_CEILING = 160
 

@@ -411,14 +411,6 @@ def test_report_enumerates_loci_once(capsys, monkeypatch, fmt):
     assert code == 0 and calls == [20]
 
 
-def test_report_malformed_ledger_exit_1(capsys, tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text('[{"g": 20, "source": [3, 17], "target": [1, 10], "cite": "x", "oops": 1}]')
-    code, _, err = run(capsys, "report", "--g", "20", "--ledger", str(bad))
-    assert code == 1
-    assert "malformed ledger" in err
-
-
 def test_report_json_lines_ledger_exit_1(capsys, tmp_path):
     entry = {"g": 20, "source": [3, 17], "target": [1, 10], "cite": "x"}
     lines = tmp_path / "lines.json"
@@ -426,11 +418,6 @@ def test_report_json_lines_ledger_exit_1(capsys, tmp_path):
     code, out, err = run(capsys, "report", "--g", "20", "--ledger", str(lines))
     assert (code, out) == (1, "")
     assert "malformed ledger" in err
-
-
-def test_report_missing_ledger_exit_1(capsys, tmp_path):
-    code, _, err = run(capsys, "report", "--g", "20", "--ledger", str(tmp_path / "no.json"))
-    assert code == 1 and "malformed ledger" in err
 
 
 def _ledger_entry(**overrides):
@@ -481,10 +468,7 @@ def test_report_ledger_error_texts_frozen(capsys, tmp_path, entries, err):
 
 def test_report_unreadable_ledger_text_frozen(capsys, tmp_path):
     path = tmp_path / "no.json"
-    err = (
-        f"error: malformed ledger: cannot read ledger {path}: "
-        f"[Errno 2] No such file or directory: '{path}'\n"
-    )
+    err = f"error: malformed ledger: cannot read ledger {path}: No such file or directory\n"
     assert run(capsys, "report", "--g", "20", "--ledger", str(path)) == (1, "", err)
 
 
