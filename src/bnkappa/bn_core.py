@@ -256,25 +256,25 @@ def kappa(g: int, r: int, d: int) -> KappaResult:
     (g - d + r - 1, 2g - 2 - d), with the rho already in hand (branch
     SERRE_DUAL_REDUCTION): the dual has degree <= g - 1 and the same rho and
     Clifford index.  A rank-0 locus has rho = d >= 0, so rho < 0 gives rank
-    >= 1 on both sides, as floor(d/r) needs.  Requires rho < 0, a dual with
-    indices >= 0, and gamma >= 0; with rho < 0 these fail exactly when
-    d < 2r, g - d + r <= 1 or d > 2g - 2, where kappa_brute has no value
-    either.
+    >= 1 on both sides, as floor(d/r) needs.
+
+    The domain is rho < 0 and gamma >= 0, the same as kappa_brute's, and
+    nothing else is checked.  The dual's indices need no check: rho < 0
+    gives h = g - d + r >= 1 (else rho >= g), and with d >= 2r that gives
+    d <= g - 1 + r <= g - 1 + d/2, so d <= 2g - 2 and both dual indices are
+    >= 0.  Duality keeps gamma, so gamma is checked once, on the input.
     """
     rv = rho(g, r, d)
     if rv >= 0:
         raise DomainError(f"kappa undefined outside rho < 0: rho({g},{r},{d}) = {rv}")
+    gamma = d - 2 * r
+    if gamma < 0:
+        raise DomainError(f"kappa requires d - 2r >= 0, got {gamma}")
     if d <= g - 1:
         first, second = KappaBranch.CLOSED_FIRST_CASE, KappaBranch.CLOSED_SECOND_CASE
     else:
-        s, e = g - d + r - 1, 2 * g - 2 - d
-        if s < 0 or e < 0:
-            raise DomainError(f"Serre dual of ({g},{r},{d}) has negative rank or degree")
-        r, d = s, e
+        r, d = g - d + r - 1, 2 * g - 2 - d
         first = second = KappaBranch.SERRE_DUAL_REDUCTION
-    gamma = clifford_index(r, d)
-    if gamma < 0:
-        raise DomainError(f"kappa_closed requires d - 2r >= 0, got {gamma}")
     fl = d // r
     if g + 1 > fl + d:
         return KappaResult(fl, first)

@@ -12,8 +12,11 @@ to published facts:
                        -rho(source), so source is too big to fit in target.
 * DIVISOR_CRITERION    a Clifford-index gap: gamma(target) >
                        gamma(source) + ceil(2*sqrt(-rho(source))) - 2, valid
-                       when rho(target) = -1, source rank >= 2 and
-                       g + 1 <= floor(d/r) + d for the source.
+                       when rho(target) = -1, source rank >= 2, source
+                       degree <= g - 1 and g + 1 <= floor(d/r) + d for the
+                       source.  PAPER.md holds only the paper's abstract, so
+                       these hypotheses are not checked against the
+                       published statement here.
 * EQUIDIMENSIONAL_FLIP both loci have rho = -1 (hence are irreducible of
                        equal dimension), so a containment either way would
                        force equality; once the reverse direction is
@@ -29,12 +32,17 @@ _RULES.  pair_status is the one way to ask for a certificate: it walks the
 table in exactly that order, so reports are deterministic.  Absence of a
 certificate never asserts containment: the pair is Open.
 
+The domain is kappa's: a locus takes part in a pair exactly when rho < 0
+and d >= 2r, which is when it is a non-empty proper subvariety and kappa
+has a value.  It is checked once per pair, before any rule runs, so every
+rule is a total function that returns a witness or None and never raises.
+
 Every certificate carries a witness.  NonContainmentCertificate.verify()
 re-runs the same rule's derive function on the pair and accepts only an
 exact match with the stored witness, so a tampered, missing or extra
 witness field fails.  pair_status, verify() and the Ledger share one
-admissibility check (distinct loci, equal genus, rho < 0 on both sides), so
-a certificate of a locus against itself never verifies.  A locus and its
+admissibility check (distinct loci, equal genus, the domain on both sides),
+so a certificate of a locus against itself never verifies.  A locus and its
 Serre dual are one subvariety, so that pair is not distinct either.
 """
 
@@ -100,10 +108,9 @@ class NonContainmentCertificate:
         """Re-derive this rule for the pair and require the identical witness."""
         try:
             _require_admissible_pair(self.source, self.target, "verify")
-            derived = _RULES[self.rule](self.source, self.target, ledger)
         except DomainError:
             return False
-        return derived == dict(self.witness)
+        return _RULES[self.rule](self.source, self.target, ledger) == dict(self.witness)
 
 
 @dataclass(frozen=True)
@@ -274,13 +281,13 @@ def _require_admissible_pair(source: BNLocus, target: BNLocus, op: str) -> None:
     # or its Serre dual, which is one subvariety either way
     if rs == rt and source.d - 2 * source.r == target.d - 2 * target.r:
         raise DomainError(f"{op} requires distinct loci")
-    if rs >= 0 or rt >= 0:
-        raise DomainError(f"{op} requires both loci to have rho < 0")
+    if rs >= 0 or rt >= 0 or source.d < 2 * source.r or target.d < 2 * target.r:
+        raise DomainError(f"{op} requires both loci to have rho < 0 and d >= 2r")
 
 
 # ---------------------------------------------------------------------------
-# the rules: each maps (source, target, ledger) to a witness, or None when the
-# rule does not apply; a DomainError means its hypotheses fail for the pair
+# the rules: each maps an admissible (source, target, ledger) to a witness, or
+# to None when the rule does not apply
 
 
 Witness = dict[str, object]
@@ -297,8 +304,8 @@ def _dimension(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Op
 
 
 def _divisor(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Optional[Witness]:
-    if target.rho() != -1:
-        raise DomainError(f"the divisor criterion requires rho(target) = -1, got {target.rho()}")
+    if target.rho() != -1 or source.d > source.g - 1:
+        return None
     if source.r < 2:
         return None  # rank-1 sources are the kappa rule's job
     if source.g + 1 > source.d // source.r + source.d:
@@ -316,8 +323,10 @@ def _divisor(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Opti
 def _flip(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Optional[Witness]:
     if source.rho() != -1 or target.rho() != -1:
         return None
-    reverse = _derive_certificate(target, source, ledger, skip=Rule.EQUIDIMENSIONAL_FLIP)
-    return None if reverse is None else {"reverse_rule": reverse.rule.value, "rho": -1}
+    for rule, derive in _RULES.items():
+        if rule is not Rule.EQUIDIMENSIONAL_FLIP and derive(target, source, ledger) is not None:
+            return {"reverse_rule": rule.value, "rho": -1}
+    return None
 
 
 def _external(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Optional[Witness]:
@@ -333,24 +342,6 @@ _RULES = {
     Rule.EQUIDIMENSIONAL_FLIP: _flip,
     Rule.EXTERNAL: _external,
 }
-
-
-def _derive_certificate(
-    source: BNLocus,
-    target: BNLocus,
-    ledger: Optional[Ledger],
-    skip: Optional[Rule] = None,
-) -> Optional[NonContainmentCertificate]:
-    for rule, derive in _RULES.items():
-        if rule is skip:
-            continue
-        try:
-            witness = derive(source, target, ledger)
-        except DomainError:
-            continue
-        if witness is not None:
-            return NonContainmentCertificate(source, target, rule, witness)
-    return None
 
 
 # The two statuses without a certificate carry nothing pair-specific, so
@@ -372,9 +363,11 @@ def pair_status(
     _require_admissible_pair(source, target, "pair_status")
     if target in trivial_closure(source):
         return _TRIVIAL_CONTAINMENT
-    cert = _derive_certificate(source, target, ledger)
-    if cert is not None:
-        return PairStatus(StatusKind.ESTABLISHED, cert)
+    for rule, derive in _RULES.items():
+        witness = derive(source, target, ledger)
+        if witness is not None:
+            cert = NonContainmentCertificate(source, target, rule, witness)
+            return PairStatus(StatusKind.ESTABLISHED, cert)
     return _OPEN
 
 

@@ -8,8 +8,9 @@ exits 3 if they disagree.  A ledger is one JSON array of entries.
 
 Exit codes: 0 success, 1 usage or I/O error (including a malformed ledger
 and a reader that closed the output pipe), 2 domain error (inputs outside a
-function's mathematical domain, such as a `check` triple with g < 2, a scan
-rank above SCAN_RANK_CEILING, a `report` genus above REPORT_GENUS_CEILING,
+function's mathematical domain, such as a `check` triple with g < 2, a
+`check` pair with an empty locus (d < 2r), a scan rank above
+SCAN_RANK_CEILING, a `report` genus above REPORT_GENUS_CEILING,
 a `maximal` or `figure` genus above MAXIMAL_GENUS_CEILING, or a `selftest
 --gmax` below 6 or above SELFTEST_GENUS_CEILING), 3 internal
 inconsistency (a cross-check that can only fail on a bug, or a selftest

@@ -85,10 +85,12 @@ def test_divisor_rule_refusals():
     # rank-1 sources are the kappa rule's job
     assert _derive(Rule.DIVISOR_CRITERION, BNLocus(11, 1, 6), BNLocus(11, 2, 9)) is None
     # target must sit at rho = -1 exactly
-    with pytest.raises(DomainError):
-        _derive(Rule.DIVISOR_CRITERION, BNLocus(21, 3, 18), BNLocus(21, 4, 20))
+    assert _derive(Rule.DIVISOR_CRITERION, BNLocus(21, 3, 18), BNLocus(21, 4, 20)) is None
     # Clifford gap too small: gamma 11 vs 11 at genus 20
     assert _derive(Rule.DIVISOR_CRITERION, BNLocus(20, 3, 17), BNLocus(20, 2, 15)) is None
+    # source degree above g - 1: (17, 15, 30) is the Serre dual of the
+    # hyperelliptic locus (17, 1, 2), which lies in the target
+    assert _derive(Rule.DIVISOR_CRITERION, BNLocus(17, 15, 30), BNLocus(17, 1, 9)) is None
 
 
 def test_divisor_rule_none_when_the_source_is_in_kappas_first_case():
@@ -100,21 +102,25 @@ def test_divisor_rule_none_when_the_source_is_in_kappas_first_case():
     assert pair_status(source, target).kind is StatusKind.OPEN
 
 
-def test_rules_reject_inadmissible_pairs():
-    for source, target in [
+def test_rules_reject_inadmissible_pairs(monkeypatch):
+    pairs = [
         (BNLocus(20, 3, 17), BNLocus(21, 2, 15)),  # genus mismatch
         (BNLocus(20, 1, 12), BNLocus(20, 2, 15)),  # rho(source) >= 0
         (BNLocus(20, 3, 17), BNLocus(20, 3, 17)),  # equal loci
-    ]:
+        (BNLocus(11, 10, 19), BNLocus(11, 2, 9)),  # d < 2r: an empty source
+    ]
+    for source, target in pairs:
         with pytest.raises(DomainError):
             pair_status(source, target, _AnyCite())
+
+    def never(source, target, ledger):
+        pytest.fail("verify() ran a rule on an inadmissible pair")
+
+    # verify() refuses before any rule runs, so no witness can pass
+    monkeypatch.setattr(certificates, "_RULES", dict.fromkeys(Rule, never))
+    for source, target in pairs:
         for rule in Rule:
-            # the witness the rule itself would give, were the pair admissible
-            try:
-                witness = _derive(rule, source, target, _AnyCite()) or {}
-            except DomainError:
-                witness = {}
-            cert = NonContainmentCertificate(source, target, rule, witness)
+            cert = NonContainmentCertificate(source, target, rule, {})
             assert not cert.verify(_AnyCite()), (source, target, rule)
 
 
@@ -375,6 +381,70 @@ def test_rho_minus_two_divisor_theorem():
                     assert _derive(Rule.DIVISOR_CRITERION, a.locus, b.locus) is not None
                     fired += 1
     assert fired == 56
+
+
+def _containing(g, source, nodes):
+    """The loci among nodes that contain source, by breadth-first search.
+
+    A locus is an (r, d) pair at genus g.  The edges are facts about
+    subvarieties that hold for every curve: a trivial step, (r, d) into
+    (r, d + 1) and (r - 1, d - 1); Serre duality, a locus and its dual
+    (g - d + r - 1, 2g - 2 - d) being one subvariety; and the hyperelliptic
+    locus (1, 2), with its dual, lying in every non-empty locus, since a
+    hyperelliptic curve carries r times its g^1_2 plus d - 2r base points.
+    """
+    hyperelliptic = {(1, 2), (g - 2, 2 * g - 4)}
+    seen, todo = {source}, [source]
+    while todo:
+        r, d = todo.pop()
+        if (r, d) in hyperelliptic:
+            return nodes
+        for x in ((r, d + 1), (r - 1, d - 1), (g - d + r - 1, 2 * g - 2 - d)):
+            if x in nodes and x not in seen:
+                seen.add(x)
+                todo.append(x)
+    return seen
+
+
+def test_no_established_pair_is_a_known_containment(ledger):
+    # every ordered pair of distinct non-empty proper loci (rho < 0, d >= 2r)
+    # at g <= 22; the oracle sees Serre duals and the hyperelliptic locus,
+    # which the trivial closure does not
+    established = contained = 0
+    for g in range(3, 23):
+        nodes = {(r, d) for r in range(1, g) for d in range(2 * r, 2 * g - 1)
+                 if rho(g, r, d) < 0}
+        loci = {x: BNLocus(g, *x) for x in nodes}
+        for a in nodes:
+            containing = _containing(g, a, nodes)
+            dual = (g - a[1] + a[0] - 1, 2 * g - 2 - a[1])
+            for b in nodes - {a, dual}:
+                kind = pair_status(loci[a], loci[b], ledger).kind
+                if kind is StatusKind.ESTABLISHED:
+                    established += 1
+                    assert b not in containing, (g, a, b)
+                elif kind is StatusKind.TRIVIAL_CONTAINMENT:
+                    assert b in containing, (g, a, b)
+                contained += b in containing
+    assert established > 50_000 and contained > 30_000
+
+
+@pytest.mark.parametrize("source, target, witness", [
+    # each source is the Serre dual of the hyperelliptic locus, inside the target
+    ((11, 9, 18), (11, 2, 9), {"gamma_source": 0, "gamma_target": 5, "clifford_gap": 4}),
+    ((17, 15, 30), (17, 1, 9), {"gamma_source": 0, "gamma_target": 7, "clifford_gap": 6}),
+    # an empty source: d < 2r
+    ((11, 10, 19), (11, 2, 9), {"gamma_source": -1, "gamma_target": 5, "clifford_gap": 5}),
+])
+def test_divisor_certificates_on_a_contained_or_empty_source_never_verify(
+    source, target, witness
+):
+    # the witnesses the divisor criterion gave before it required the source's
+    # degree to be at most g - 1 and both loci to be non-empty
+    cert = NonContainmentCertificate(
+        BNLocus(*source), BNLocus(*target), Rule.DIVISOR_CRITERION, witness
+    )
+    assert not cert.verify()
 
 
 # ---------------------------------------------------------------------------

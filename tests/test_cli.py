@@ -107,9 +107,9 @@ def test_kappa_csv_frozen_on_the_serre_dual_route(capsys):
     (20, -1, 17, "rho requires g >= 2, r >= 0, d >= 0; got (20, -1, 17)"),
     (20, 3, -1, "rho requires g >= 2, r >= 0, d >= 0; got (20, 3, -1)"),
     (20, 1, 12, "kappa undefined outside rho < 0: rho(20,1,12) = 2"),
-    (10, 10, 19, "Serre dual of (10,10,19) has negative rank or degree"),
-    (10, 11, 19, "Serre dual of (10,11,19) has negative rank or degree"),
-    (10, 6, 11, "kappa_closed requires d - 2r >= 0, got -1"),
+    (10, 10, 19, "kappa requires d - 2r >= 0, got -1"),
+    (10, 11, 19, "kappa requires d - 2r >= 0, got -3"),
+    (10, 6, 11, "kappa requires d - 2r >= 0, got -1"),
 ])
 def test_kappa_refusal_texts_frozen(capsys, g, r, d, text):
     for fmt in ("table", "json", "csv"):
@@ -447,7 +447,8 @@ _PAIR = "error: malformed ledger: ledger entry for {}: {}\n"
     ([_ledger_entry(target=[5, 21])],
      _PAIR.format("(20, (3, 17), (5, 21))", "ledger requires distinct loci")),
     ([_ledger_entry(source=[1, 19])],
-     _PAIR.format("(20, (1, 19), (1, 10))", "ledger requires both loci to have rho < 0")),
+     _PAIR.format("(20, (1, 19), (1, 10))",
+                  "ledger requires both loci to have rho < 0 and d >= 2r")),
     ([_ledger_entry(source=[-1, 5])],
      _PAIR.format("(20, (-1, 5), (1, 10))", "rank and degree must be >= 0, got r=-1 d=5")),
     ([_ledger_entry(g=1)], _PAIR.format("(1, (3, 17), (1, 10))", "genus must be >= 2, got 1")),
@@ -601,6 +602,29 @@ def test_check_triple_outside_domain_exit_2(capsys, source, message):
     code, out, err = run(capsys, "check", "--source", source, "--target", "20,4,19")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("source, target, row", [
+    ("11,9,18", "11,2,9", "9,18,2,9,open,,"),
+    ("17,15,30", "17,1,9", "15,30,1,9,open,,"),
+])
+def test_check_divisor_criterion_needs_source_degree_at_most_g_minus_1(
+    capsys, source, target, row
+):
+    # each source is the Serre dual of the hyperelliptic locus (g, 1, 2), which
+    # lies in every non-empty locus, the target included: no certificate holds
+    code, out, err = run(capsys, "check", "--source", source, "--target", target,
+                         "--format", "csv")
+    assert (code, out.splitlines()[1], err) == (0, row, "")
+
+
+def test_check_pair_with_an_empty_locus_exit_2(capsys):
+    # d < 2r with rho < 0: no curve carries such a series (Clifford)
+    for source, target in (("11,10,19", "11,2,9"), ("11,2,9", "11,10,19")):
+        code, out, err = run(capsys, "check", "--source", source, "--target", target)
+        assert (code, out, err) == (
+            2, "", "error: pair_status requires both loci to have rho < 0 and d >= 2r\n"
+        )
 
 
 def test_check_genus_mismatch_exit_2(capsys):
