@@ -49,11 +49,11 @@ __all__ = [
 class BNLocus:
     """Index triple (g, r, d) of a Brill-Noether locus.
 
-    rho() and kappa() are memoized on the instance: functools.cached_property
-    computes each on first use and stores it in the instance __dict__, which
-    a frozen dataclass allows.  The memo is not a field, so equality, hashing,
-    ordering and repr see only (g, r, d).  A DomainError is not memoized, and
-    nothing is shared between instances.
+    rho and kappa are memoized attributes: functools.cached_property computes
+    each on first read and stores it in the instance __dict__, which a frozen
+    dataclass allows.  The memo is not a field, so equality, hashing, ordering
+    and repr see only (g, r, d).  A DomainError is not memoized, and nothing is
+    shared between instances.  gamma, the Clifford index, is a plain property.
 
     Building one validates it: g >= 2 and r, d >= 0, or DomainError.
     """
@@ -69,20 +69,15 @@ class BNLocus:
             raise DomainError(f"rank and degree must be >= 0, got r={self.r} d={self.d}")
 
     @cached_property
-    def _rho(self) -> int:
+    def rho(self) -> int:
         return rho(self.g, self.r, self.d)
 
     @cached_property
-    def _kappa(self) -> "KappaResult":
-        return kappa(self.g, self.r, self.d)
-
-    def rho(self) -> int:
-        return self._rho
-
     def kappa(self) -> "KappaResult":
         """kappa(g, r, d) by the closed formula, computed once per instance."""
-        return self._kappa
+        return kappa(self.g, self.r, self.d)
 
+    @property
     def gamma(self) -> int:
         return clifford_index(self.r, self.d)
 
@@ -99,42 +94,19 @@ class KappaBranch(Enum):
     SERRE_DUAL_REDUCTION = "serre-dual-reduction"
 
 
-def _unordered(op: str):
-    def compare(self, other):
-        raise TypeError(
-            f"'{op}' not supported between instances of "
-            f"{type(self).__name__!r} and {type(other).__name__!r}"
-        )
-
-    return compare
-
-
 class KappaResult(NamedTuple):
     """A kappa value together with the branch that computed it.
 
     rho() and clifford_index() give the input's other invariants; on the
     Serre-dual branch the dual shares both.
 
-    A named tuple, which is cheap to build (kappa builds one per call), but
-    not a plain tuple: it equals only a result of its own class, never the
-    tuple (value, branch); it hashes like that tuple; it has no order.
+    A plain named tuple, cheap to build (kappa builds one per call): it
+    equals, hashes and orders like the tuple (value, branch), so results
+    order by value, and two of equal value and different branch have no order.
     """
 
     value: int
     branch: KappaBranch
-
-    def __eq__(self, other):
-        # the instance's own class, not the module-level name, which may be rebound
-        if other.__class__ is self.__class__:
-            return tuple.__eq__(self, other)
-        return False if isinstance(other, tuple) else NotImplemented
-
-    def __ne__(self, other):
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    __hash__ = tuple.__hash__
-    __lt__, __le__, __gt__, __ge__ = map(_unordered, ("<", "<=", ">", ">="))
 
 
 def rho(g: int, r: int, d: int) -> int:

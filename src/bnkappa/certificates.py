@@ -276,7 +276,7 @@ def trivial_closure(start: BNLocus) -> TrivialClosure:
 def _require_admissible_pair(source: BNLocus, target: BNLocus, op: str) -> None:
     if source.g != target.g:
         raise DomainError(f"{op} requires equal genus, got {source.g} and {target.g}")
-    rs, rt = source.rho(), target.rho()
+    rs, rt = source.rho, target.rho
     # at one genus, equal rho and Clifford index d - 2r mean the same locus
     # or its Serre dual, which is one subvariety either way
     if rs == rt and source.d - 2 * source.r == target.d - 2 * target.r:
@@ -294,34 +294,34 @@ Witness = dict[str, object]
 
 
 def _kappa_gap(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Optional[Witness]:
-    ks, kt = source.kappa().value, target.kappa().value
+    ks, kt = source.kappa.value, target.kappa.value
     return {"kappa_source": ks, "kappa_target": kt} if ks > kt else None
 
 
 def _dimension(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Optional[Witness]:
-    rs, rt = source.rho(), target.rho()
+    rs, rt = source.rho, target.rho
     return {"rho_source": rs, "rho_target": rt} if -rs < -rt <= 3 else None
 
 
 def _divisor(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Optional[Witness]:
-    if target.rho() != -1 or source.d > source.g - 1:
+    if target.rho != -1 or source.d > source.g - 1:
         return None
     if source.r < 2:
         return None  # rank-1 sources are the kappa rule's job
     if source.g + 1 > source.d // source.r + source.d:
         return None
-    gap = -floor_neg_2sqrt(-source.rho()) - 2  # ceil(2*sqrt(-rho)) - 2
-    if target.gamma() > source.gamma() + gap:
+    gap = -floor_neg_2sqrt(-source.rho) - 2  # ceil(2*sqrt(-rho)) - 2
+    if target.gamma > source.gamma + gap:
         return {
-            "gamma_source": source.gamma(),
-            "gamma_target": target.gamma(),
+            "gamma_source": source.gamma,
+            "gamma_target": target.gamma,
             "clifford_gap": gap,
         }
     return None
 
 
 def _flip(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Optional[Witness]:
-    if source.rho() != -1 or target.rho() != -1:
+    if source.rho != -1 or target.rho != -1:
         return None
     for rule, derive in _RULES.items():
         if rule is not Rule.EQUIDIMENSIONAL_FLIP and derive(target, source, ledger) is not None:
@@ -374,8 +374,8 @@ def pair_status(
 def genus_report(g: int, ledger: Optional[Ledger] = None) -> GenusReport:
     """Pair-by-pair non-containment report over all expected maximal loci.
 
-    The loci are the records' own BNLocus objects, so each locus' memoized
-    rho and kappa are computed once and read by every pair it takes part in.
+    The loci are the records' own BNLocus objects, so each locus' rho and
+    kappa attributes are computed once and read by every pair it takes part in.
     """
     records = enumerate_expected_maximal(g)
     verdicts = []

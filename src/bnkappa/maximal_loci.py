@@ -164,8 +164,8 @@ def enumerate_expected_maximal(g: int) -> list[MaximalLocusRecord]:
         records.append(
             MaximalLocusRecord(
                 locus=locus,
-                rho=locus.rho(),
-                kappa=locus.kappa(),  # the locus' memo: a report's pairs share it
+                rho=locus.rho,
+                kappa=locus.kappa,  # memoized on the locus: a report's pairs share it
             )
         )
     return records

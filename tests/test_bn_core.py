@@ -468,23 +468,23 @@ def test_kappa_result_equality_and_hash():
     assert res == same and not res != same
     assert hash(res) == hash(same) == hash(plain)
     assert res != KappaResult(6, KappaBranch.BRUTE_FORCE) and res != KappaResult(7, plain[1])
-    # equal only to a KappaResult: never to the plain tuple of its fields
-    assert res != plain and plain != res and not res == plain and not plain == res
-    assert len({res, same, plain}) == 2
+    # a plain named tuple: equal to the tuple of its fields, in both orders
+    assert res == plain and plain == res and not res != plain and not plain != res
+    assert len({res, same, plain}) == 1
 
 
-def test_kappa_result_is_immutable_and_unordered():
+def test_kappa_result_is_immutable_and_ordered_as_a_tuple():
     res = kappa(20, 3, 17)
     for name in ("value", "branch", "other"):
         with pytest.raises(AttributeError):
             setattr(res, name, 7)
     assert (res.value, res.branch) == (6, KappaBranch.CLOSED_SECOND_CASE)
-    plain = (res.value, res.branch)
-    for a, b in ((res, res), (res, plain), (plain, res)):
-        for compare in (lambda x, y: x < y, lambda x, y: x <= y,
-                        lambda x, y: x > y, lambda x, y: x >= y):
-            with pytest.raises(TypeError):
-                compare(a, b)
+    # the tuple's order: by value first, so rank 4's kappa 5 sits below rank 3's 6
+    assert kappa(20, 4, 19) < res and res > kappa(20, 4, 19)
+    assert res <= (6, res.branch) and res >= res
+    assert sorted([res, kappa(20, 4, 19)]) == [kappa(20, 4, 19), res]
+    with pytest.raises(TypeError):  # equal values fall through to the branch, an unordered Enum
+        res < KappaResult(6, KappaBranch.BRUTE_FORCE)
 
 
 def test_kappa_oracle_equivalence_small():
@@ -539,9 +539,9 @@ def test_locus_memo_equals_the_functions_at_huge_genus(data):
     locus = BNLocus(g, r, d)
     want_rho, want_kappa = bn_core.rho(g, r, d), bn_core.kappa(g, r, d)
     assert want_rho < 0
-    for _ in range(2):  # the first call computes, the second reads the memo
-        assert locus.rho() == want_rho
-        assert locus.kappa() == want_kappa
+    for _ in range(2):  # the first read computes, the second reads the memo
+        assert locus.rho == want_rho
+        assert locus.kappa == want_kappa
 
 
 @pytest.mark.parametrize("g, r, d", [
@@ -554,13 +554,13 @@ def test_locus_kappa_outside_its_domain_raises_on_every_call(g, r, d):
     locus = BNLocus(g, r, d)
     for _ in range(3):
         with pytest.raises(DomainError) as raised:
-            locus.kappa()
+            locus.kappa
         assert str(raised.value) == str(expected.value)
 
 
 def test_used_and_fresh_loci_are_indistinguishable():
     used, fresh, other = BNLocus(20, 3, 17), BNLocus(20, 3, 17), BNLocus(20, 2, 14)
-    used.rho(), used.kappa()
+    used.rho, used.kappa
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh) == "BNLocus(g=20, r=3, d=17)"
     assert str(used) == str(fresh)

@@ -97,7 +97,7 @@ def test_divisor_rule_none_when_the_source_is_in_kappas_first_case():
     # g + 1 = 8 > floor(4/2) + 4: kappa(7, 2, 4) = 2 is the first case, and no
     # earlier rule separates the pair from the rho = -1 target (7, 3, 8)
     source, target = BNLocus(7, 2, 4), BNLocus(7, 3, 8)
-    assert target.rho() == -1 and source.kappa().branch is bn_core.KappaBranch.CLOSED_FIRST_CASE
+    assert target.rho == -1 and source.kappa.branch is bn_core.KappaBranch.CLOSED_FIRST_CASE
     assert _derive(Rule.DIVISOR_CRITERION, source, target) is None
     assert pair_status(source, target).kind is StatusKind.OPEN
 
@@ -376,7 +376,7 @@ def test_rho_minus_two_divisor_theorem():
                     a.rho == -2
                     and a.locus.r >= 2
                     and b.rho == -1
-                    and b.locus.gamma() - a.locus.gamma() >= 2
+                    and b.locus.gamma - a.locus.gamma >= 2
                 ):
                     assert _derive(Rule.DIVISOR_CRITERION, a.locus, b.locus) is not None
                     fired += 1
