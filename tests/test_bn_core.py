@@ -571,6 +571,43 @@ def test_used_and_fresh_loci_are_indistinguishable():
     assert tuple(f.name for f in dataclasses.fields(BNLocus)) == ("g", "r", "d")
 
 
+def test_locus_repr_str_and_keywords_frozen():
+    locus = BNLocus(20, 3, 17)
+    assert repr(locus) == "BNLocus(g=20, r=3, d=17)"
+    assert str(locus) == "(g=20, r=3, d=17)"
+    assert f"{locus}" == "(g=20, r=3, d=17)"
+    assert BNLocus(g=20, r=3, d=17) == locus
+    assert (locus.g, locus.r, locus.d) == (20, 3, 17)
+
+
+def test_locus_order_and_hash_are_those_of_g_r_d():
+    triples = [(21, 1, 9), (20, 4, 19), (20, 3, 18), (20, 3, 17), (2, 0, 0), (20, 0, 25)]
+    loci = [BNLocus(*t) for t in triples]
+    assert [tuple((x.g, x.r, x.d)) for x in sorted(loci)] == sorted(triples)
+    for a, ta in zip(loci, triples):
+        assert hash(a) == hash(BNLocus(*ta)) == hash(ta)
+        for b, tb in zip(loci, triples):
+            assert (a < b, a <= b, a > b, a >= b, a == b) == (
+                ta < tb, ta <= tb, ta > tb, ta >= tb, ta == tb
+            ), (a, b)
+
+
+@pytest.mark.parametrize("args, text", [
+    ((1, 1, 0), "genus must be >= 2, got 1"),
+    ((-5, -1, -1), "genus must be >= 2, got -5"),
+    ((20, -1, 5), "rank and degree must be >= 0, got r=-1 d=5"),
+    ((20, 3, -1), "rank and degree must be >= 0, got r=3 d=-1"),
+    ((2, -2, -3), "rank and degree must be >= 0, got r=-2 d=-3"),
+])
+def test_locus_domain_error_texts_frozen(args, text):
+    with pytest.raises(DomainError) as raised:
+        BNLocus(*args)
+    assert str(raised.value) == text
+    with pytest.raises(DomainError) as raised:
+        BNLocus(**dict(zip("grd", args)))
+    assert str(raised.value) == text
+
+
 # ---------------------------------------------------------------------------
 # Serre duality
 

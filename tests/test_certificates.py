@@ -447,6 +447,27 @@ def test_divisor_certificates_on_a_contained_or_empty_source_never_verify(
     assert not cert.verify()
 
 
+def test_certificate_and_status_reprs_frozen():
+    # selftest prints a certificate that fails to re-verify through its repr
+    source, target = BNLocus(20, 3, 17), BNLocus(20, 4, 19)
+    cert = NonContainmentCertificate(
+        source, target, Rule.KAPPA_GAP, {"kappa_source": 6, "kappa_target": 5}
+    )
+    text = (
+        "NonContainmentCertificate(source=BNLocus(g=20, r=3, d=17), "
+        "target=BNLocus(g=20, r=4, d=19), rule=<Rule.KAPPA_GAP: 'kappa-gap'>, "
+        "witness={'kappa_source': 6, 'kappa_target': 5})"
+    )
+    assert repr(cert) == str(cert) == f"{cert}" == text
+    assert repr(pair_status(source, target)) == (
+        f"PairStatus(kind=<StatusKind.ESTABLISHED: 'established'>, certificate={text})"
+    )
+    assert repr(pair_status(BNLocus(20, 1, 9), BNLocus(20, 1, 10))) == (
+        "PairStatus(kind=<StatusKind.TRIVIAL_CONTAINMENT: 'trivial-containment'>, "
+        "certificate=None)"
+    )
+
+
 # ---------------------------------------------------------------------------
 # certificate re-verification
 

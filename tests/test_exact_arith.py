@@ -112,6 +112,25 @@ def test_surd_type_validation():
         Surd(1, 1, 2, 0)
 
 
+@pytest.mark.parametrize("args, text", [
+    ((1, 1, -2), "Surd radicand must be >= 0, got -2"),
+    ((1, 1, 2, 0), "Surd denominator must be >= 1, got 0"),
+    ((1, 1, 2, -3), "Surd denominator must be >= 1, got -3"),
+    ((1, 1, -1, 0), "Surd radicand must be >= 0, got -1"),  # the radicand is checked first
+])
+def test_surd_domain_error_texts_frozen(args, text):
+    with pytest.raises(DomainError) as raised:
+        Surd(*args)
+    assert str(raised.value) == text
+
+
+def test_surd_repr_and_default_denominator_frozen():
+    assert repr(Surd(32, -8, 4, 4)) == "Surd(a=32, b=-8, m=4, q=4)"
+    assert repr(Surd(1, 2, 3)) == "Surd(a=1, b=2, m=3, q=1)"
+    assert Surd(1, 2, 3).q == 1 and Surd(a=1, b=2, m=3, q=5).q == 5
+    assert repr(Surd(32, -8, 4, 4).minus_int(5)) == "Surd(a=12, b=-8, m=4, q=4)"
+
+
 def test_surd_sign_and_minus_int():
     s = Surd(32, -8, 4, 4)  # (32 - 8*sqrt(4))/4 = 4
     assert s.sign() == 1
