@@ -22,10 +22,9 @@ oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError, InternalError
 from .exact_arith import floor_neg_2sqrt
@@ -45,28 +44,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class BNLocus:
-    """Index triple (g, r, d) of a Brill-Noether locus.
-
-    rho and kappa are memoized attributes: functools.cached_property computes
-    each on first read and stores it in the instance __dict__, which a frozen
-    dataclass allows.  The memo is not a field, so equality, hashing, ordering
-    and repr see only (g, r, d).  A DomainError is not memoized, and nothing is
-    shared between instances.  gamma, the Clifford index, is a plain property.
-
-    Building one validates it: g >= 2 and r, d >= 0, or DomainError.
-    """
-
+class _LocusFields(NamedTuple):
     g: int
     r: int
     d: int
 
-    def __post_init__(self) -> None:
-        if self.g < 2:
-            raise DomainError(f"genus must be >= 2, got {self.g}")
-        if self.r < 0 or self.d < 0:
-            raise DomainError(f"rank and degree must be >= 0, got r={self.r} d={self.d}")
+
+class BNLocus(_LocusFields):
+    """Index triple (g, r, d) of a Brill-Noether locus.
+
+    A named tuple, so equality, hashing, ordering and repr are those of the
+    tuple (g, r, d): a locus equals, hashes like and orders like that plain
+    tuple.
+
+    rho and kappa are memoized attributes: functools.cached_property computes
+    each on first read and stores it in the instance __dict__, which exists
+    because the class sets no __slots__.  The memo is not a field, so the
+    tuple never sees it.  __setattr__ and __delattr__ raise AttributeError
+    for every name, so a locus stays immutable and no assignment can
+    overwrite or drop a memoized value.  A DomainError is not memoized, and
+    nothing is shared between instances.  gamma, the Clifford index, is a
+    plain property.
+
+    Building one validates it: g >= 2 and r, d >= 0, or DomainError.  _make
+    and _replace build through the constructor, so they validate too.
+    """
+
+    def __new__(cls, g: int, r: int, d: int) -> "BNLocus":
+        if g < 2:
+            raise DomainError(f"genus must be >= 2, got {g}")
+        if r < 0 or d < 0:
+            raise DomainError(f"rank and degree must be >= 0, got r={r} d={d}")
+        return tuple.__new__(cls, (g, r, d))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "BNLocus":
+        return cls(*iterable)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a BNLocus is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a BNLocus is immutable")
 
     @cached_property
     def rho(self) -> int:

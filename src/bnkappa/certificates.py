@@ -49,10 +49,9 @@ Serre dual are one subvariety, so that pair is not distinct either.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from . import bn_core
 from .bn_core import BNLocus
@@ -95,14 +94,13 @@ class LedgerError(Exception):
     """The external ledger file is malformed."""
 
 
-@dataclass(frozen=True)
-class NonContainmentCertificate:
+class NonContainmentCertificate(NamedTuple):
     """Witnessed claim that source is not contained in target."""
 
     source: BNLocus
     target: BNLocus
     rule: Rule
-    witness: Mapping[str, object] = field(default_factory=dict)
+    witness: Mapping[str, object]
 
     def verify(self, ledger: Optional["Ledger"] = None) -> bool:
         """Re-derive this rule for the pair and require the identical witness."""
@@ -113,21 +111,18 @@ class NonContainmentCertificate:
         return _RULES[self.rule](self.source, self.target, ledger) == dict(self.witness)
 
 
-@dataclass(frozen=True)
-class PairStatus:
+class PairStatus(NamedTuple):
     kind: StatusKind
     certificate: Optional[NonContainmentCertificate] = None
 
 
-@dataclass(frozen=True)
-class PairVerdict:
+class PairVerdict(NamedTuple):
     source: BNLocus
     target: BNLocus
     status: PairStatus
 
 
-@dataclass(frozen=True)
-class GenusReport:
+class GenusReport(NamedTuple):
     """All expected maximal loci at one genus and every ordered pair's status."""
 
     g: int

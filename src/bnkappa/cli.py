@@ -38,8 +38,8 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cache
+from typing import NamedTuple, Optional, Sequence
 
 from . import __version__, bn_core, maximal_loci
 from .bn_core import BNLocus
@@ -83,8 +83,7 @@ class _UsageError(Exception):
 # rendering
 
 
-@dataclass(frozen=True)
-class _Output:
+class _Output(NamedTuple):
     """One command's result, ready for any --format.
 
     `headers` and `rows` give the CSV and the default table; `doc` is the
@@ -351,7 +350,13 @@ def _cmd_selftest(args) -> int:
 _S_RANGES = tuple(s.value for s in SRange)
 
 
+@cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    Building it costs far more than a parse, and nothing in it depends on the
+    call: prog is fixed, so usage text does not depend on sys.argv[0].
+    """
     parser = _Parser(prog="bnkappa", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

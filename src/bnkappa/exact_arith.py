@@ -10,7 +10,7 @@ such as b*b*m are always exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError
 
@@ -63,24 +63,35 @@ def surd_sign(a: int, b: int, m: int) -> int:
     return _sign(b * b * m - a * a)
 
 
-@dataclass(frozen=True)
-class Surd:
-    """The number (a + b*sqrt(m)) / q with integer fields, m >= 0, q >= 1.
-
-    The denominator lets rational values such as g/(r+1) + r be carried
-    exactly; comparisons always happen after clearing it.
-    """
-
+class _SurdFields(NamedTuple):
     a: int
     b: int
     m: int
     q: int = 1
 
-    def __post_init__(self) -> None:
-        if self.m < 0:
-            raise DomainError(f"Surd radicand must be >= 0, got {self.m}")
-        if self.q < 1:
-            raise DomainError(f"Surd denominator must be >= 1, got {self.q}")
+
+class Surd(_SurdFields):
+    """The number (a + b*sqrt(m)) / q with integer fields, m >= 0, q >= 1.
+
+    The denominator lets rational values such as g/(r+1) + r be carried
+    exactly; comparisons always happen after clearing it.
+
+    A named tuple whose constructor validates: _make and _replace build
+    through it too, so no Surd skips the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, m: int, q: int = 1) -> "Surd":
+        if m < 0:
+            raise DomainError(f"Surd radicand must be >= 0, got {m}")
+        if q < 1:
+            raise DomainError(f"Surd denominator must be >= 1, got {q}")
+        return tuple.__new__(cls, (a, b, m, q))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "Surd":
+        return cls(*iterable)
 
     def sign(self) -> int:
         """Exact sign; the (positive) denominator never affects it."""

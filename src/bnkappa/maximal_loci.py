@@ -28,9 +28,9 @@ so reproducing them requires LEMMA (see the README).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
+from typing import NamedTuple
 
 from . import bn_core
 from .bn_core import BNLocus, KappaResult
@@ -65,8 +65,7 @@ class SRange(Enum):
     LEMMA = "lemma"      # s <= ceil(sqrt(g) - 1)
 
 
-@dataclass(frozen=True)
-class MaximalLocusRecord:
+class MaximalLocusRecord(NamedTuple):
     """An expected maximal locus with its rho and kappa, read from its memo.
 
     kappa_bounds(g, r) gives the locus' kappa bracket.

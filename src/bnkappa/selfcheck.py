@@ -9,19 +9,21 @@ harness present.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
+from typing import Optional
 
 from . import bn_core, maximal_loci
 from .exact_arith import floor_neg_2sqrt, surd_sign
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    passed: int = 0
-    failed: int = 0
-    failures: list[str] = field(default_factory=list)
+    """One suite's counts and its first few failure details; check() adds to them."""
+
+    def __init__(
+        self, name: str, passed: int = 0, failed: int = 0, failures: Optional[list[str]] = None
+    ) -> None:
+        self.name, self.passed, self.failed = name, passed, failed
+        self.failures = [] if failures is None else failures
 
     def check(self, ok: bool, detail: str) -> None:
         if ok:

@@ -1,7 +1,6 @@
 """Core numerology: rho, the k-gonal refinement, kappa two ways, duality,
 and the step-by-step search that is the oracle for the trivial closure."""
 
-import dataclasses
 import re
 from math import isqrt
 
@@ -567,8 +566,8 @@ def test_used_and_fresh_loci_are_indistinguishable():
     assert not used < fresh and not fresh < used
     assert sorted([used, other]) == sorted([fresh, other]) == [other, fresh]
     assert {used: 1}[fresh] == 1
-    assert dataclasses.astuple(used) == (20, 3, 17)
-    assert tuple(f.name for f in dataclasses.fields(BNLocus)) == ("g", "r", "d")
+    assert tuple(used) == (20, 3, 17)
+    assert BNLocus._fields == ("g", "r", "d")
 
 
 def test_locus_repr_str_and_keywords_frozen():
@@ -608,6 +607,59 @@ def test_locus_domain_error_texts_frozen(args, text):
     assert str(raised.value) == text
 
 
+def test_locus_equals_hashes_and_orders_like_its_plain_tuple():
+    # a named tuple of (g, r, d): equal to the plain tuple, in both orders
+    locus, plain = BNLocus(20, 3, 17), (20, 3, 17)
+    assert locus == plain and plain == locus and not locus != plain
+    assert hash(locus) == hash(plain) and len({locus, plain}) == 1
+    assert locus < (20, 4, 0) and (20, 3, 16) < locus and locus <= plain <= locus
+    assert isinstance(locus, tuple) and len(locus) == 3
+
+
+@pytest.mark.parametrize("read", [(), ("rho",), ("rho", "kappa")])
+def test_locus_refuses_every_assignment_and_deletion(read):
+    locus = BNLocus(20, 3, 17)
+    for name in read:
+        getattr(locus, name)
+    for name in ("g", "r", "d", "rho", "kappa", "gamma", "other"):
+        with pytest.raises(AttributeError):
+            setattr(locus, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(locus, name)
+    with pytest.raises(AttributeError):
+        locus.rho = 5
+    # nothing above reached the memo: it holds what was read, and only that
+    assert set(vars(locus)) == set(read)
+    assert (locus.g, locus.r, locus.d) == (20, 3, 17)
+    assert (locus.rho, locus.kappa) == (rho(20, 3, 17), kappa(20, 3, 17))
+
+
+def test_locus_domain_error_is_not_memoized():
+    locus = BNLocus(10, 5, 8)  # rho < 0 but d < 2r: kappa has no value
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            locus.kappa
+        assert "kappa" not in vars(locus)
+
+
+def test_locus_make_and_replace_validate():
+    locus = BNLocus(20, 3, 17)
+    made, replaced = BNLocus._make((20, 4, 19)), locus._replace(r=4, d=19)
+    assert type(made) is type(replaced) is BNLocus and made == replaced == (20, 4, 19)
+    assert vars(replaced) == {}  # a new locus, with a memo of its own
+    for build, text in (
+        (lambda: BNLocus._make((1, -1, 0)), "genus must be >= 2, got 1"),
+        (lambda: BNLocus._make([20, 3, -1]), "rank and degree must be >= 0, got r=3 d=-1"),
+        (lambda: locus._replace(g=1), "genus must be >= 2, got 1"),
+        (lambda: locus._replace(r=-1), "rank and degree must be >= 0, got r=-1 d=17"),
+    ):
+        with pytest.raises(DomainError) as raised:
+            build()
+        assert str(raised.value) == text
+    with pytest.raises(TypeError):
+        BNLocus._make((20, 3))
+
+
 # ---------------------------------------------------------------------------
 # Serre duality
 
@@ -624,7 +676,7 @@ def test_equal_rho_and_gamma_means_identical_or_serre_dual():
             for a in members:
                 for b in members:
                     if a != b:
-                        assert serre_dual(a.g, a.r, a.d) == dataclasses.astuple(b), (a, b)
+                        assert serre_dual(a.g, a.r, a.d) == tuple(b), (a, b)
 
 
 def test_serre_invariance_of_rho_gamma_rhok():

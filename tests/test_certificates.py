@@ -1,6 +1,5 @@
 """Non-containment certificates, pair statuses, reports, and the ledger."""
 
-import dataclasses
 import json
 
 import pytest
@@ -11,6 +10,8 @@ from bnkappa.certificates import (
     Ledger,
     LedgerError,
     NonContainmentCertificate,
+    PairStatus,
+    PairVerdict,
     Rule,
     StatusKind,
     TrivialClosure,
@@ -468,6 +469,24 @@ def test_certificate_and_status_reprs_frozen():
     )
 
 
+def test_records_equal_and_hash_like_the_plain_tuple_of_their_fields(ledger):
+    report = genus_report(20, ledger)
+    trivial = pair_status(BNLocus(20, 1, 9), BNLocus(20, 1, 10))
+    hashable = (report.loci[0], trivial, PairVerdict(BNLocus(20, 1, 9), BNLocus(20, 1, 10), trivial))
+    for record in hashable:
+        plain = tuple(record)
+        assert record == plain and plain == record and hash(record) == hash(plain)
+    # a witness is a dict, so a certificate, and whatever holds one, equals its
+    # plain tuple but has no hash, as the frozen records before them had none
+    cert = next(v.status.certificate for v in report.pairs if v.status.certificate)
+    for record in (report, cert, PairStatus(StatusKind.ESTABLISHED, cert)):
+        assert record == tuple(record) and tuple(record) == record
+        with pytest.raises(TypeError):
+            hash(record)
+    assert cert._fields == ("source", "target", "rule", "witness")
+    with pytest.raises(AttributeError):
+        cert.rule = Rule.EXTERNAL
+
 # ---------------------------------------------------------------------------
 # certificate re-verification
 
@@ -486,16 +505,14 @@ def test_verify_answers_alike_on_report_loci_and_fresh_copies(ledger):
             cert = verdict.status.certificate
             if cert is None:
                 continue
-            fresh = dataclasses.replace(
-                cert,
-                source=BNLocus(*dataclasses.astuple(cert.source)),
-                target=BNLocus(*dataclasses.astuple(cert.target)),
+            fresh = cert._replace(
+                source=BNLocus(*cert.source), target=BNLocus(*cert.target)
             )
             assert fresh.source is not cert.source and fresh == cert
             assert cert.verify(ledger) is fresh.verify(ledger) is True
             assert cert.verify() is fresh.verify()
-            swapped = dataclasses.replace(cert, source=cert.target, target=cert.source)
-            fresh_swapped = dataclasses.replace(fresh, source=fresh.target, target=fresh.source)
+            swapped = cert._replace(source=cert.target, target=cert.source)
+            fresh_swapped = fresh._replace(source=fresh.target, target=fresh.source)
             assert swapped.verify(ledger) is fresh_swapped.verify(ledger)
 
 

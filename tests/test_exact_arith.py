@@ -131,6 +131,29 @@ def test_surd_repr_and_default_denominator_frozen():
     assert repr(Surd(32, -8, 4, 4).minus_int(5)) == "Surd(a=12, b=-8, m=4, q=4)"
 
 
+def test_surd_make_and_replace_validate():
+    s = Surd(32, -8, 4, 4)
+    assert Surd._make((1, 2, 3)) == Surd(1, 2, 3) and type(Surd._make((1, 2, 3))) is Surd
+    assert s._replace(q=2) == Surd(32, -8, 4, 2) and type(s._replace(q=2)) is Surd
+    for build, text in (
+        (lambda: Surd._make((1, 1, -2)), "Surd radicand must be >= 0, got -2"),
+        (lambda: Surd._make((1, 1, 2, 0)), "Surd denominator must be >= 1, got 0"),
+        (lambda: s._replace(m=-1), "Surd radicand must be >= 0, got -1"),
+        (lambda: s._replace(q=0), "Surd denominator must be >= 1, got 0"),
+    ):
+        with pytest.raises(DomainError) as raised:
+            build()
+        assert str(raised.value) == text
+
+
+def test_surd_is_immutable_and_equals_its_plain_tuple():
+    s = Surd(1, 2, 3)
+    for name in ("a", "q", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 5)
+    assert s == (1, 2, 3, 1) and hash(s) == hash((1, 2, 3, 1)) and s < Surd(1, 2, 4)
+
+
 def test_surd_sign_and_minus_int():
     s = Surd(32, -8, 4, 4)  # (32 - 8*sqrt(4))/4 = 4
     assert s.sign() == 1
