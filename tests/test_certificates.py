@@ -3,9 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bnkappa import bn_core, certificates
-from bnkappa.bn_core import BNLocus, clifford_index, rho
+from bnkappa.bn_core import BNLocus, KappaBranch, clifford_index, kappa, rho
 from bnkappa.certificates import (
     Ledger,
     LedgerError,
@@ -264,6 +266,111 @@ def test_equidimensional_flip_frozen():
     assert flip.certificate.rule is Rule.EQUIDIMENSIONAL_FLIP
     assert dict(flip.certificate.witness) == {"reverse_rule": "kappa-gap", "rho": -1}
     assert flip.certificate.verify()
+
+
+# ---------------------------------------------------------------------------
+# rho = -1 pairs: the lemma behind the flip rule, and the rule against its
+# first form
+
+
+def _rho_minus_one_loci(gmax):
+    """genus -> its rho = -1 loci with d >= 2r, both Serre-dual representatives.
+
+    With n = r + 1 and m = g - d + r, rho = -1 means n * m = g + 1, so the
+    loci come from the factorizations g + 1 = n * m with 2 <= n <= m:
+    (g, n - 1, g - m + n - 1), of degree <= g - 1, and its dual
+    (g, m - 1, g + m - n - 1), which is itself when n = m.
+    """
+    loci = {}
+    n = 2
+    while n * n - 1 <= gmax:
+        for m in range(n, (gmax + 1) // n + 1):
+            g = n * m - 1
+            loci.setdefault(g, []).append(BNLocus(g, n - 1, g - m + n - 1))
+            if n < m:
+                loci[g].append(BNLocus(g, m - 1, g + m - n - 1))
+        n += 1
+    return loci
+
+
+def _lemma_holds(g, n, m):
+    """kappa = n + m - 2 on the d <= g - 1 representative, and on its dual."""
+    value = n + m - 2
+    rep = kappa(g, n - 1, g - m + n - 1)
+    dual = kappa(g, m - 1, g + m - n - 1)
+    dual_branch = KappaBranch.SERRE_DUAL_REDUCTION if n < m else KappaBranch.CLOSED_SECOND_CASE
+    return rep == (value, KappaBranch.CLOSED_SECOND_CASE) and dual == (value, dual_branch)
+
+
+def test_rho_minus_one_kappa_is_n_plus_m_minus_two_and_injective():
+    # the lemma in _flip's docstring, for every factorization with g <= 20,000
+    kappas, checked = {}, 0
+    n = 2
+    while n * n - 1 <= 20_000:
+        for m in range(n, 20_001 // n + 1):
+            g = n * m - 1
+            assert _lemma_holds(g, n, m), (g, n, m)
+            # distinct subvarieties (distinct n <= m) have distinct kappa
+            assert (g, n + m) not in kappas, (g, n, m, kappas.get((g, n + m)))
+            kappas[g, n + m] = n
+            checked += 1
+        n += 1
+    assert checked == 80_662
+
+
+def test_rho_minus_one_loci_by_divisors_equal_the_scan():
+    by_divisors = _rho_minus_one_loci(60)
+    for g in range(2, 61):
+        scanned = [BNLocus(g, r, d) for r in range(1, g) for d in range(2 * r, 2 * g - 1)
+                   if rho(g, r, d) == -1]
+        assert sorted(by_divisors.get(g, [])) == scanned, g
+
+
+@given(st.integers(2, 10**6), st.integers(2, 10**12))
+def test_rho_minus_one_lemma_up_to_g_10_to_the_12(n, m):
+    n, m = min(n, m), max(n, m)
+    m = min(m, (10**12 + 1) // n)
+    g = n * m - 1
+    assert rho(g, n - 1, g - m + n - 1) == -1 and _lemma_holds(g, n, m)
+
+
+def _flip_by_reverse_walk(source, target, ledger):
+    """The flip rule's first form: any other rule in the table certifies the reverse pair."""
+    if source.rho != -1 or target.rho != -1:
+        return None
+    for rule, derive in certificates._RULES.items():
+        if rule is not Rule.EQUIDIMENSIONAL_FLIP and derive(target, source, ledger) is not None:
+            return {"reverse_rule": rule.value, "rho": -1}
+    return None
+
+
+def test_flip_agrees_with_the_reverse_walk_on_every_rho_minus_one_pair(monkeypatch, ledger):
+    pairs = [
+        (a, b)
+        for loci in _rho_minus_one_loci(700).values()
+        for a in loci
+        for b in loci
+        if a.kappa.value != b.kappa.value  # equal kappa: the same locus or its dual
+    ]
+    assert len(pairs) == 23_904
+    ledgers = (None, ledger, _AnyCite())
+    now = [pair_status(a, b, led) for led in ledgers for a, b in pairs]
+    monkeypatch.setitem(certificates._RULES, Rule.EQUIDIMENSIONAL_FLIP, _flip_by_reverse_walk)
+    assert [pair_status(a, b, led) for led in ledgers for a, b in pairs] == now
+    flips = [s for s in now if s.certificate.rule is Rule.EQUIDIMENSIONAL_FLIP]
+    assert len(flips) == 3 * len(pairs) // 2
+
+
+def test_flip_certificates_verify_without_a_ledger(ledger):
+    flips = [
+        verdict.status.certificate
+        for g in range(3, 151)
+        for verdict in genus_report(g, ledger).pairs
+        if verdict.status.certificate is not None
+        and verdict.status.certificate.rule is Rule.EQUIDIMENSIONAL_FLIP
+    ]
+    assert len(flips) == 258
+    assert all(cert.verify() for cert in flips)
 
 
 def test_established_and_trivial_containment_disjoint():
