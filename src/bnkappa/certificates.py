@@ -19,8 +19,11 @@ to published facts:
                        published statement here.
 * EQUIDIMENSIONAL_FLIP both loci have rho = -1 (hence are irreducible of
                        equal dimension), so a containment either way would
-                       force equality; once the reverse direction is
-                       established, this direction follows.
+                       force equality; kappa(target) > kappa(source) rules
+                       out the reverse one, so this direction follows.  By
+                       the lemma in _flip's docstring, distinct rho = -1
+                       loci always differ in kappa, so KAPPA_GAP and this
+                       rule certify every such pair.
 * EXTERNAL             the pair appears in a user-supplied ledger of
                        published non-containments, each entry with its
                        citation.
@@ -193,6 +196,16 @@ def _parse_entry(obj: object, where: str) -> tuple[int, tuple, tuple, str]:
     return g, tuple(source), tuple(target), cite
 
 
+def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object as a dict, refusing a repeated field: json keeps only the last."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise LedgerError(f"repeated field {key!r} in one ledger entry")
+        obj[key] = value
+    return obj
+
+
 def load_ledger(path: Union[str, Path]) -> Ledger:
     """Load a ledger from one JSON array of entries."""
     try:
@@ -203,7 +216,7 @@ def load_ledger(path: Union[str, Path]) -> Ledger:
     except UnicodeDecodeError as exc:
         raise LedgerError(f"cannot read ledger {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_fields)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise LedgerError(f"invalid JSON in ledger {path}: {exc}") from exc
     if not isinstance(data, list):
@@ -316,12 +329,29 @@ def _divisor(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Opti
 
 
 def _flip(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Optional[Witness]:
-    if source.rho != -1 or target.rho != -1:
+    """Both loci have rho = -1, and the reverse pair has a kappa gap.
+
+    Both loci are irreducible divisors (Eisenbud-Harris), so source inside
+    target would make them equal, and kappa(target) > kappa(source) rules
+    that out.  No other rule is needed for the reverse pair, by this lemma:
+    distinct rho = -1 subvarieties have distinct kappa.
+
+    Proof.  Write n = r + 1 and m = g - d + r, so rho = g - n*m, and rho = -1
+    means n*m = g + 1.  Take the representative with d <= g - 1, that is
+    n <= m; then n, m >= 2 on kappa's domain, and d = m*(n - 1) + n - 2, so
+    floor(d/r) = m and floor(d/r) + d = g + r >= g + 1.  That is the closed
+    formula's second case: kappa = g + 1 - gamma - 2 with
+    gamma = d - 2r = g + 1 - n - m, so kappa = n + m - 2.  Serre duality
+    swaps n and m, so the dual has the same kappa.  n + (g + 1)/n strictly
+    decreases on 0 < n <= sqrt(g + 1), so distinct representatives, with
+    2 <= n <= sqrt(g + 1), have distinct kappa.
+
+    So a pair of distinct rho = -1 loci has a kappa gap one way: the
+    forward one is KAPPA_GAP's, and the reverse one is this rule's.
+    """
+    if source.rho != -1 or target.rho != -1 or _kappa_gap(target, source, ledger) is None:
         return None
-    for rule, derive in _RULES.items():
-        if rule is not Rule.EQUIDIMENSIONAL_FLIP and derive(target, source, ledger) is not None:
-            return {"reverse_rule": rule.value, "rho": -1}
-    return None
+    return {"reverse_rule": Rule.KAPPA_GAP.value, "rho": -1}
 
 
 def _external(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Optional[Witness]:

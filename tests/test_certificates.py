@@ -361,6 +361,18 @@ def test_flip_agrees_with_the_reverse_walk_on_every_rho_minus_one_pair(monkeypat
     assert len(flips) == 3 * len(pairs) // 2
 
 
+def test_flip_needs_the_reverse_kappa_gap():
+    # kappa(11, 1, 6) = 6 > kappa(11, 2, 9) = 5: the forward kappa gap
+    # certifies this pair, so the flip has nothing to add, even where a
+    # ledger cites the reverse pair
+    source, target = BNLocus(11, 1, 6), BNLocus(11, 2, 9)
+    assert _derive(Rule.EQUIDIMENSIONAL_FLIP, source, target, _AnyCite()) is None
+    cert = NonContainmentCertificate(
+        source, target, Rule.EQUIDIMENSIONAL_FLIP, {"reverse_rule": "external", "rho": -1}
+    )
+    assert not cert.verify(_AnyCite())
+
+
 def test_flip_certificates_verify_without_a_ledger(ledger):
     flips = [
         verdict.status.certificate
@@ -752,6 +764,10 @@ def test_load_ledger_rejects_duplicates_and_garbage(tmp_path):
     dup.write_text(json.dumps([_entry(), _entry()]))
     with pytest.raises(LedgerError):
         load_ledger(dup)
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text('[{"g": 20, "g": 21, "source": [3, 17], "target": [1, 10], "cite": "X"}]')
+    with pytest.raises(LedgerError, match="repeated field 'g'"):
+        load_ledger(repeated)
     broken = tmp_path / "broken.json"
     broken.write_text("[{]")
     with pytest.raises(LedgerError):

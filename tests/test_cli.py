@@ -467,6 +467,18 @@ def test_report_ledger_error_texts_frozen(capsys, tmp_path, entries, err):
     assert run(capsys, "report", "--g", "20", "--ledger", str(path)) == (1, "", err)
 
 
+def test_report_ledger_with_a_repeated_field_exit_1(capsys, tmp_path):
+    # json keeps the last of repeated names, so this entry would read as a
+    # g = 21 entry and leave the genus-20 pair (3,17) vs (1,10) open
+    text = Path(LEDGER).read_text(encoding="utf-8")
+    first = '{"g": 20, "source": [3, 17], "target": [1, 10]'
+    assert text.count(first) == 1
+    path = tmp_path / "known.json"
+    path.write_text(text.replace(first, '{"g": 20, "g": 21' + first[8:]), encoding="utf-8")
+    err = "error: malformed ledger: repeated field 'g' in one ledger entry\n"
+    assert run(capsys, "report", "--g", "20", "--ledger", str(path)) == (1, "", err)
+
+
 def test_report_unreadable_ledger_text_frozen(capsys, tmp_path):
     path = tmp_path / "no.json"
     err = f"error: malformed ledger: cannot read ledger {path}: No such file or directory\n"
