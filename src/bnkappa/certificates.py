@@ -13,10 +13,10 @@ to published facts:
 * DIVISOR_CRITERION    a Clifford-index gap: gamma(target) >
                        gamma(source) + ceil(2*sqrt(-rho(source))) - 2, valid
                        when rho(target) = -1, source rank >= 2, source
-                       degree <= g - 1 and g + 1 <= floor(d/r) + d for the
-                       source.  PAPER.md holds only the paper's abstract, so
-                       these hypotheses are not checked against the
-                       published statement here.
+                       degree <= g - 1 (true of every source a rule sees)
+                       and g + 1 <= floor(d/r) + d for the source.  PAPER.md
+                       holds only the abstract, so these hypotheses are not
+                       checked against the published statement here.
 * EQUIDIMENSIONAL_FLIP both loci have rho = -1 (hence are irreducible of
                        equal dimension), so a containment either way would
                        force equality; kappa(target) > kappa(source) rules
@@ -41,12 +41,13 @@ has a value.  It is checked once per pair, before any rule runs, so every
 rule is a total function that returns a witness or None and never raises.
 
 Every certificate carries a witness.  NonContainmentCertificate.verify()
-re-runs the same rule's derive function on the pair and accepts only an
-exact match with the stored witness, so a tampered, missing or extra
-witness field fails.  pair_status, verify() and the Ledger share one
-admissibility check (distinct loci, equal genus, the domain on both sides),
-so a certificate of a locus against itself never verifies.  A locus and its
-Serre dual are one subvariety, so that pair is not distinct either.
+re-runs the same rule on the pair and accepts only an exact match with the
+stored witness, so a tampered, missing or extra witness field fails.
+pair_status, verify() and the Ledger share one admissibility check: equal
+genus, distinct subvarieties (a locus and its Serre dual are one), and the
+domain on both sides, so no certificate of a locus against itself verifies.
+It hands on each side's representative with d <= g - 1, the Serre dual when
+d >= g, so the closure, every rule and the ledger key see one per subvariety.
 """
 
 from __future__ import annotations
@@ -108,10 +109,10 @@ class NonContainmentCertificate(NamedTuple):
     def verify(self, ledger: Optional["Ledger"] = None) -> bool:
         """Re-derive this rule for the pair and require the identical witness."""
         try:
-            _require_admissible_pair(self.source, self.target, "verify")
+            source, target = _require_admissible_pair(self.source, self.target, "verify")
         except DomainError:
             return False
-        return _RULES[self.rule](self.source, self.target, ledger) == dict(self.witness)
+        return _RULES[self.rule](source, target, ledger) == dict(self.witness)
 
 
 class PairStatus(NamedTuple):
@@ -146,8 +147,8 @@ class Ledger:
 
     Built from the ledger's JSON entries.  Every entry's shape is checked
     before any entry's pair, so a file with both kinds of fault reports a
-    misshapen entry.  A pair that pair_status refuses is rejected, since no
-    query could reach it, and so is a second entry for one pair.
+    misshapen entry.  A pair that pair_status refuses, which no query reaches,
+    is rejected, and so is a second entry for one pair under either Serre dual.
     """
 
     def __init__(self, entries: list):
@@ -156,8 +157,7 @@ class Ledger:
         for g, source, target, cite in parsed:
             key = (g, source, target)
             try:
-                pair = BNLocus(g, *source), BNLocus(g, *target)
-                _require_admissible_pair(*pair, "ledger")
+                pair = _require_admissible_pair(BNLocus(g, *source), BNLocus(g, *target), "ledger")
             except DomainError as exc:
                 raise LedgerError(f"ledger entry for {key}: {exc}") from exc
             if pair in self._cites:
@@ -281,7 +281,7 @@ def trivial_closure(start: BNLocus) -> TrivialClosure:
     return TrivialClosure(start)
 
 
-def _require_admissible_pair(source: BNLocus, target: BNLocus, op: str) -> None:
+def _require_admissible_pair(source: BNLocus, target: BNLocus, op: str) -> tuple[BNLocus, BNLocus]:
     if source.g != target.g:
         raise DomainError(f"{op} requires equal genus, got {source.g} and {target.g}")
     rs, rt = source.rho, target.rho
@@ -291,11 +291,17 @@ def _require_admissible_pair(source: BNLocus, target: BNLocus, op: str) -> None:
         raise DomainError(f"{op} requires distinct loci")
     if rs >= 0 or rt >= 0 or source.d < 2 * source.r or target.d < 2 * target.r:
         raise DomainError(f"{op} requires both loci to have rho < 0 and d >= 2r")
+    g = source.g  # hand on each side's representative with d <= g - 1
+    if source.d >= g:  # its Serre dual, the same subvariety
+        source = BNLocus(g, g - source.d + source.r - 1, 2 * g - 2 - source.d)
+    if target.d >= g:
+        target = BNLocus(g, g - target.d + target.r - 1, 2 * g - 2 - target.d)
+    return source, target
 
 
 # ---------------------------------------------------------------------------
-# the rules: each maps an admissible (source, target, ledger) to a witness, or
-# to None when the rule does not apply
+# the rules: each maps an admissible (source, target, ledger), both with
+# d <= g - 1, to a witness, or to None when the rule does not apply
 
 
 Witness = dict[str, object]
@@ -312,7 +318,7 @@ def _dimension(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Op
 
 
 def _divisor(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Optional[Witness]:
-    if target.rho != -1 or source.d > source.g - 1:
+    if target.rho != -1:
         return None
     if source.r < 2:
         return None  # rank-1 sources are the kappa rule's job
@@ -337,10 +343,10 @@ def _flip(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Optiona
     distinct rho = -1 subvarieties have distinct kappa.
 
     Proof.  Write n = r + 1 and m = g - d + r, so rho = g - n*m, and rho = -1
-    means n*m = g + 1.  Take the representative with d <= g - 1, that is
-    n <= m; then n, m >= 2 on kappa's domain, and d = m*(n - 1) + n - 2, so
-    floor(d/r) = m and floor(d/r) + d = g + r >= g + 1.  That is the closed
-    formula's second case: kappa = g + 1 - gamma - 2 with
+    means n*m = g + 1.  The rules see the representative with d <= g - 1,
+    so n <= m; then n, m >= 2 on kappa's domain, and d = m*(n - 1) + n - 2,
+    so floor(d/r) = m and floor(d/r) + d = g + r >= g + 1.  That is the
+    closed formula's second case: kappa = g + 1 - gamma - 2 with
     gamma = d - 2r = g + 1 - n - m, so kappa = n + m - 2.  Serre duality
     swaps n and m, so the dual has the same kappa.  n + (g + 1)/n strictly
     decreases on 0 < n <= sqrt(g + 1), so distinct representatives, with
@@ -385,11 +391,11 @@ def pair_status(
     ESTABLISHED with the first applicable certificate in the fixed rule
     order, or OPEN when no rule applies.  OPEN never asserts containment.
     """
-    _require_admissible_pair(source, target, "pair_status")
-    if target in trivial_closure(source):
+    s, t = _require_admissible_pair(source, target, "pair_status")
+    if t in trivial_closure(s):
         return _TRIVIAL_CONTAINMENT
     for rule, derive in _RULES.items():
-        witness = derive(source, target, ledger)
+        witness = derive(s, t, ledger)
         if witness is not None:
             cert = NonContainmentCertificate(source, target, rule, witness)
             return PairStatus(StatusKind.ESTABLISHED, cert)

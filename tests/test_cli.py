@@ -618,13 +618,15 @@ def test_check_triple_outside_domain_exit_2(capsys, source, message):
 
 @pytest.mark.parametrize("source, target, row", [
     ("11,9,18", "11,2,9", "9,18,2,9,open,,"),
-    ("17,15,30", "17,1,9", "15,30,1,9,open,,"),
+    ("17,15,30", "17,1,9", "15,30,1,9,trivial-containment,,"),
 ])
 def test_check_divisor_criterion_needs_source_degree_at_most_g_minus_1(
     capsys, source, target, row
 ):
     # each source is the Serre dual of the hyperelliptic locus (g, 1, 2), which
-    # lies in every non-empty locus, the target included: no certificate holds
+    # lies in every non-empty locus, the target included: no certificate holds.
+    # The rules see (g, 1, 2); base points take (17, 1, 2) to (17, 1, 9), while
+    # no trivial step raises the rank to (11, 2, 9)
     code, out, err = run(capsys, "check", "--source", source, "--target", target,
                          "--format", "csv")
     assert (code, out.splitlines()[1], err) == (0, row, "")
