@@ -63,8 +63,7 @@ class BNLocus(_LocusFields):
     tuple never sees it.  __setattr__ and __delattr__ raise AttributeError
     for every name, so a locus stays immutable and no assignment can
     overwrite or drop a memoized value.  A DomainError is not memoized, and
-    nothing is shared between instances.  gamma, the Clifford index, is a
-    plain property.
+    nothing is shared between instances.
 
     Building one validates it: g >= 2 and r, d >= 0, or DomainError.  _make
     and _replace build through the constructor, so they validate too.
@@ -95,10 +94,6 @@ class BNLocus(_LocusFields):
     def kappa(self) -> "KappaResult":
         """kappa(g, r, d) by the closed formula, computed once per instance."""
         return kappa(self.g, self.r, self.d)
-
-    @property
-    def gamma(self) -> int:
-        return clifford_index(self.r, self.d)
 
     def __str__(self) -> str:
         return f"(g={self.g}, r={self.r}, d={self.d})"

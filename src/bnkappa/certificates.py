@@ -1,22 +1,17 @@
 """Non-containment certificates between Brill-Noether loci.
 
-Distinct loci at the same genus may or may not contain one another.  Four
+Distinct loci at the same genus may or may not contain one another.  Three
 computational rules can rule containment out, plus one ledger of citations
 to published facts:
 
 * KAPPA_GAP            kappa(source) > kappa(target): the general curve of
                        gonality kappa(source) lies in source but not target.
+                       It subsumes the Clifford-index divisor criterion
+                       against rho = -1 targets (tests/test_certificates.py).
 * DIMENSION            -rho(source) < -rho(target) <= 3: for -3 <= rho <= -1
                        codimension is known to equal -rho exactly, and every
                        component of source has codimension at most
                        -rho(source), so source is too big to fit in target.
-* DIVISOR_CRITERION    a Clifford-index gap: gamma(target) >
-                       gamma(source) + ceil(2*sqrt(-rho(source))) - 2, valid
-                       when rho(target) = -1, source rank >= 2, source
-                       degree <= g - 1 (true of every source a rule sees)
-                       and g + 1 <= floor(d/r) + d for the source.  PAPER.md
-                       holds only the abstract, so these hypotheses are not
-                       checked against the published statement here.
 * EQUIDIMENSIONAL_FLIP both loci have rho = -1 (hence are irreducible of
                        equal dimension), so a containment either way would
                        force equality; kappa(target) > kappa(source) rules
@@ -60,7 +55,6 @@ from typing import Mapping, NamedTuple, Optional, Union
 from . import bn_core
 from .bn_core import BNLocus
 from .errors import DomainError
-from .exact_arith import floor_neg_2sqrt
 from .maximal_loci import MaximalLocusRecord, enumerate_expected_maximal
 
 __all__ = [
@@ -83,7 +77,6 @@ __all__ = [
 class Rule(Enum):
     KAPPA_GAP = "kappa-gap"
     DIMENSION = "dimension"
-    DIVISOR_CRITERION = "divisor-criterion"
     EQUIDIMENSIONAL_FLIP = "equidimensional-flip"
     EXTERNAL = "external"
 
@@ -165,6 +158,12 @@ class Ledger:
             self._cites[pair] = cite
 
     def lookup(self, source: BNLocus, target: BNLocus) -> Optional[str]:
+        """The citation for the pair, or None.
+
+        It answers only for the representatives with d <= g - 1 that the
+        admissibility check hands on: a side named by its Serre dual gets
+        None.  pair_status and verify() hand on those representatives.
+        """
         return self._cites.get((source, target))
 
 
@@ -317,23 +316,6 @@ def _dimension(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Op
     return {"rho_source": rs, "rho_target": rt} if -rs < -rt <= 3 else None
 
 
-def _divisor(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Optional[Witness]:
-    if target.rho != -1:
-        return None
-    if source.r < 2:
-        return None  # rank-1 sources are the kappa rule's job
-    if source.g + 1 > source.d // source.r + source.d:
-        return None
-    gap = -floor_neg_2sqrt(-source.rho) - 2  # ceil(2*sqrt(-rho)) - 2
-    if target.gamma > source.gamma + gap:
-        return {
-            "gamma_source": source.gamma,
-            "gamma_target": target.gamma,
-            "clifford_gap": gap,
-        }
-    return None
-
-
 def _flip(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Optional[Witness]:
     """Both loci have rho = -1, and the reverse pair has a kappa gap.
 
@@ -369,7 +351,6 @@ def _external(source: BNLocus, target: BNLocus, ledger: Optional[Ledger]) -> Opt
 _RULES = {
     Rule.KAPPA_GAP: _kappa_gap,
     Rule.DIMENSION: _dimension,
-    Rule.DIVISOR_CRITERION: _divisor,
     Rule.EQUIDIMENSIONAL_FLIP: _flip,
     Rule.EXTERNAL: _external,
 }

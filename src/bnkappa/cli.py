@@ -258,28 +258,28 @@ def _cmd_check(args) -> _Output:
     return _Output(_PAIR_HEADERS, [row], doc=_status_doc(status), text=text)
 
 
-# The scans grow as r^2.5: `gtable --r-max 60` takes about 2.1-3.2 s on a
-# 2-vCPU VM and `exceptional --r 60` about 0.25-0.35 s, so higher ranks are
+# The scans grow as r^2.5: `gtable --r-max 60` takes about 1.5-2.5 s on a
+# 2-vCPU VM and `exceptional --r 60` about 0.15-0.25 s, so higher ranks are
 # refused.
 # The library itself scans any rank.
 SCAN_RANK_CEILING = 60
 
 # A report has about g pairs (r_max(g)^2 with r_max about sqrt(g)), so its
-# cost is about linear in g: `report --g 50000` takes about 1.4-1.8 s as a
-# table or CSV and 2.9-3.2 s as JSON on a 2-vCPU VM, so larger genera are
+# cost is about linear in g: `report --g 50000` takes about 0.7-1.3 s as a
+# table or CSV and 1.5-2.4 s as JSON on a 2-vCPU VM, so larger genera are
 # refused.  The library's genus_report takes any genus.
 REPORT_GENUS_CEILING = 50_000
 
 # `maximal` and `figure` print one row per rank up to r_max(g), about sqrt(g)
-# rows: at g = 10^10 (100,000 rows) `maximal` takes about 2.9-4.4 s on a
+# rows: at g = 10^10 (100,000 rows) `maximal` takes about 1.3-2.9 s on a
 # 2-vCPU VM (JSON slowest, 18 MB), so larger genera are refused.  The
 # library's enumerate_expected_maximal takes any genus.
 MAXIMAL_GENUS_CEILING = 10**10
 
 # The kappa oracle suite checks closed against brute kappa on every admissible
 # triple up to --gmax, about gmax^3/12 of them at O(log g) each: `selftest
-# --gmax 160` takes about 1.7-2.0 s on a 2-vCPU VM (about 1.6-1.7 s of it in
-# that suite, about 0.1 s certifying genera up to 160), so larger sweeps are
+# --gmax 160` takes about 1.4-1.9 s on a 2-vCPU VM (about 1.4-1.7 s of it in
+# that suite, about 0.05 s certifying genera up to 160), so larger sweeps are
 # refused.
 # The library's selfcheck.run_all takes any gmax.
 SELFTEST_GENUS_CEILING = 160

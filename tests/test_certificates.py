@@ -73,33 +73,118 @@ def test_dimension_rule_frozen():
     assert _derive(Rule.DIMENSION, BNLocus(11, 2, 9), BNLocus(11, 1, 6)) is None
 
 
+# ---------------------------------------------------------------------------
+# the Clifford-index divisor criterion: KAPPA_GAP on a smaller domain
+
+
+def _divisor_criterion(source, target):
+    """The Clifford-index divisor criterion's witness for the pair, or None.
+
+    For rho(target) = -1, a source of rank >= 2 and g + 1 <= floor(d/r) + d
+    for the source, gamma(target) > gamma(source) + ceil(2*sqrt(-rho(source)))
+    - 2 rules containment out.  It is not a rule, because on the pairs the
+    rules see (both sides with d <= g - 1) it is KAPPA_GAP on a smaller
+    domain.  The rho = -1 target is in kappa's second case (the lemma in
+    _flip's docstring), so kappa(target) = g - 1 - gamma(target).  The
+    source hypothesis puts the source there too, so kappa(source) =
+    g + 1 - gamma(source) - ceil(2*sqrt(-rho(source))).  The gamma test then
+    rearranges exactly to kappa(source) > kappa(target).
+    """
+    if target.rho != -1 or source.r < 2 or source.g + 1 > source.d // source.r + source.d:
+        return None
+    gamma_s, gamma_t = clifford_index(source.r, source.d), clifford_index(target.r, target.d)
+    gap = -floor_neg_2sqrt(-source.rho) - 2  # ceil(2*sqrt(-rho)) - 2
+    if gamma_t > gamma_s + gap:
+        return {"gamma_source": gamma_s, "gamma_target": gamma_t, "clifford_gap": gap}
+    return None
+
+
+def _criterion_is_the_kappa_gap(source, target):
+    """Assert the lemma on one canonical pair; True when the criterion fires.
+
+    It fires exactly when its hypotheses hold and kappa(source) >
+    kappa(target), and pair_status then certifies the pair by KAPPA_GAP.
+    """
+    g, r, d = source
+    hypotheses = target.rho == -1 and r >= 2 and g + 1 <= d // r + d
+    fired = _divisor_criterion(source, target) is not None
+    assert fired == (hypotheses and source.kappa.value > target.kappa.value), (source, target)
+    if fired:
+        assert pair_status(source, target).certificate.rule is Rule.KAPPA_GAP, (source, target)
+    return fired
+
+
+def test_divisor_criterion_is_the_kappa_gap_on_every_canonical_pair_to_g_150():
+    # the criterion needs a rho = -1 target; every source, rank 1 included
+    pairs = fired = 0
+    for g in range(3, 151):
+        loci = _canonical_loci(g)
+        targets = [t for t in loci if t.rho == -1]
+        for source in loci:
+            for target in targets:
+                if source != target:
+                    pairs += 1
+                    fired += _criterion_is_the_kappa_gap(source, target)
+    assert (pairs, fired) == (506_568, 583)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_divisor_criterion_is_the_kappa_gap_up_to_g_10_to_the_9(data):
+    # a rho = -1 target from g + 1 = n*m with n <= m, and a source of rank
+    # >= 2 a few steps below rho = 0, where the source hypothesis mostly
+    # holds.  Ranks up to 2n give kappa gaps both ways
+    n = data.draw(st.integers(2, 1000), label="n")
+    m = data.draw(st.integers(n, 10**6), label="m")
+    g = n * m - 1
+    r = data.draw(st.integers(2, 2 * n), label="source r")
+    h = g // (r + 1) + 1 + data.draw(st.integers(0, 3), label="steps below rho = 0")
+    d = g - h + r
+    assume(2 * r <= d <= g - 1 and (r, d) != (n - 1, g - m + n - 1))
+    _criterion_is_the_kappa_gap(BNLocus(g, r, d), BNLocus(g, n - 1, g - m + n - 1))
+
+
 def test_divisor_rule_frozen():
-    for src, tgt, gammas in [
-        ((31, 2, 22), (31, 3, 26), (18, 20)),
-        ((34, 2, 24), (34, 4, 31), (20, 23)),
-        ((54, 3, 43), (54, 4, 47), (37, 39)),
+    # the criterion's pinned pairs: pair_status certifies each by its kappa gap
+    for src, tgt, gammas, kappas in [
+        ((31, 2, 22), (31, 3, 26), (18, 20), (11, 10)),
+        ((34, 2, 24), (34, 4, 31), (20, 23), (12, 10)),
+        ((54, 3, 43), (54, 4, 47), (37, 39), (15, 14)),
     ]:
-        witness = {"gamma_source": gammas[0], "gamma_target": gammas[1], "clifford_gap": 1}
-        cert = NonContainmentCertificate(
-            BNLocus(*src), BNLocus(*tgt), Rule.DIVISOR_CRITERION, witness
+        source, target = BNLocus(*src), BNLocus(*tgt)
+        assert _divisor_criterion(source, target) == {
+            "gamma_source": gammas[0], "gamma_target": gammas[1], "clifford_gap": 1,
+        }
+        cert = pair_status(source, target).certificate
+        assert (cert.rule, dict(cert.witness)) == (
+            Rule.KAPPA_GAP, {"kappa_source": kappas[0], "kappa_target": kappas[1]}
         )
         assert cert.verify()
 
 
 def test_divisor_rule_refusals():
-    # rank-1 sources are the kappa rule's job
-    assert _derive(Rule.DIVISOR_CRITERION, BNLocus(11, 1, 6), BNLocus(11, 2, 9)) is None
-    # target must sit at rho = -1 exactly
-    assert _derive(Rule.DIVISOR_CRITERION, BNLocus(21, 3, 18), BNLocus(21, 4, 20)) is None
-    # Clifford gap too small: gamma 11 vs 11 at genus 20
-    assert _derive(Rule.DIVISOR_CRITERION, BNLocus(20, 3, 17), BNLocus(20, 2, 15)) is None
+    # rank-1 sources are outside the criterion: the kappa gap 6 > 5 decides
+    source, target = BNLocus(11, 1, 6), BNLocus(11, 2, 9)
+    assert _divisor_criterion(source, target) is None
+    assert pair_status(source, target).certificate.rule is Rule.KAPPA_GAP
+    # target must sit at rho = -1 exactly: genus 21's open pair stays open
+    source, target = BNLocus(21, 3, 18), BNLocus(21, 4, 20)
+    assert _divisor_criterion(source, target) is None
+    assert pair_status(source, target).kind is StatusKind.OPEN
+    # Clifford gap too small: gamma 11 vs 11 at genus 20, open without the ledger
+    source, target = BNLocus(20, 3, 17), BNLocus(20, 2, 15)
+    assert _divisor_criterion(source, target) is None
+    assert pair_status(source, target).kind is StatusKind.OPEN
     # source degree above g - 1: (17, 15, 30) is the Serre dual of the
-    # hyperelliptic locus (17, 1, 2), which lies in the target.  The rules
-    # only see (17, 1, 2), and base points take it to (17, 1, 9)
+    # hyperelliptic locus (17, 1, 2), which lies in the target.  Read on the
+    # indices as named, the criterion fires; pair_status sees (17, 1, 2),
+    # where it does not, and base points take (17, 1, 2) to (17, 1, 9)
     source, target = BNLocus(17, 15, 30), BNLocus(17, 1, 9)
+    assert _divisor_criterion(source, target) == {
+        "gamma_source": 0, "gamma_target": 7, "clifford_gap": 6,
+    }
+    assert _divisor_criterion(_dual(source), target) is None
     assert pair_status(source, target).kind is StatusKind.TRIVIAL_CONTAINMENT
-    witness = {"gamma_source": 0, "gamma_target": 7, "clifford_gap": 6}
-    assert not NonContainmentCertificate(source, target, Rule.DIVISOR_CRITERION, witness).verify()
 
 
 def test_divisor_rule_none_when_the_source_is_in_kappas_first_case():
@@ -108,15 +193,16 @@ def test_divisor_rule_none_when_the_source_is_in_kappas_first_case():
     # reaches by a rank drop and a base point, so the pair is a containment
     source, target = BNLocus(7, 2, 4), BNLocus(7, 3, 8)
     assert target.rho == -1 and source.kappa.branch is bn_core.KappaBranch.CLOSED_FIRST_CASE
-    assert _derive(Rule.DIVISOR_CRITERION, source, target) is None
+    assert _divisor_criterion(source, target) is None
     assert pair_status(source, target).kind is StatusKind.TRIVIAL_CONTAINMENT
     # (19, 2, 4) is the hyperelliptic locus (gamma = 0), inside every locus:
     # the Clifford gap 11 > 0 + 10 holds, and only the first-case hypothesis
-    # keeps the rule from certifying it outside the rho = -1 locus (19, 3, 17)
+    # keeps the criterion from ruling out its containment in the rho = -1
+    # locus (19, 3, 17)
     source, target = BNLocus(19, 2, 4), BNLocus(19, 3, 17)
     assert target.rho == -1 and source.kappa.branch is bn_core.KappaBranch.CLOSED_FIRST_CASE
-    assert target.gamma > source.gamma - floor_neg_2sqrt(-source.rho) - 2
-    assert _derive(Rule.DIVISOR_CRITERION, source, target) is None
+    assert clifford_index(3, 17) > clifford_index(2, 4) - floor_neg_2sqrt(-source.rho) - 2
+    assert _divisor_criterion(source, target) is None
     assert pair_status(source, target).kind is StatusKind.OPEN
 
 
@@ -599,7 +685,8 @@ def test_same_rho_clifford_corollary_subsumed_by_kappa():
 
 def test_rho_minus_two_divisor_theorem():
     # source at rho = -2 with rank >= 2 against a rho = -1 target two or more
-    # Clifford steps up: the divisor criterion must fire (ceil(2*sqrt(2))-2 = 1)
+    # Clifford steps up: the divisor criterion fires (ceil(2*sqrt(2))-2 = 1),
+    # and pair_status certifies each pair by its kappa gap
     fired = 0
     for g in range(10, 151):
         records = enumerate_expected_maximal(g)
@@ -611,9 +698,11 @@ def test_rho_minus_two_divisor_theorem():
                     a.rho == -2
                     and a.locus.r >= 2
                     and b.rho == -1
-                    and b.locus.gamma - a.locus.gamma >= 2
+                    and clifford_index(b.locus.r, b.locus.d) - clifford_index(a.locus.r, a.locus.d) >= 2
                 ):
-                    assert _derive(Rule.DIVISOR_CRITERION, a.locus, b.locus) is not None
+                    assert _divisor_criterion(a.locus, b.locus) is not None
+                    status = pair_status(a.locus, b.locus)
+                    assert status.certificate.rule is Rule.KAPPA_GAP, (a.locus, b.locus)
                     fired += 1
     assert fired == 56
 
@@ -677,12 +766,18 @@ def test_no_established_pair_is_a_known_containment(ledger):
 def test_divisor_certificates_on_a_contained_or_empty_source_never_verify(
     source, target, witness
 ):
-    # the witnesses the divisor criterion gave before it required the source's
-    # degree to be at most g - 1 and both loci to be non-empty
-    cert = NonContainmentCertificate(
-        BNLocus(*source), BNLocus(*target), Rule.DIVISOR_CRITERION, witness
-    )
-    assert not cert.verify()
+    # the witnesses the divisor criterion gives on the indices as named.
+    # pair_status finds no certificate on these pairs, and a certificate that
+    # carries such a witness verifies under no rule
+    source, target = BNLocus(*source), BNLocus(*target)
+    assert _divisor_criterion(source, target) == witness
+    if source.d < 2 * source.r:
+        with pytest.raises(DomainError):
+            pair_status(source, target, _AnyCite())
+    else:
+        assert pair_status(source, target).certificate is None
+    for rule in Rule:
+        assert not NonContainmentCertificate(source, target, rule, witness).verify(_AnyCite())
 
 
 def test_certificate_and_status_reprs_frozen():
@@ -791,16 +886,11 @@ def test_corrupted_witnesses_fail_verification(ledger):
     )
     assert not extra_field.verify()
 
-    div = NonContainmentCertificate(
-        BNLocus(31, 2, 22),
-        BNLocus(31, 3, 26),
-        Rule.DIVISOR_CRITERION,
-        {"gamma_source": 18, "gamma_target": 20, "clifford_gap": 1},
-    )
-    wrong_gap = NonContainmentCertificate(
-        div.source, div.target, div.rule, {**div.witness, "clifford_gap": 999}
-    )
-    assert div.verify() and not wrong_gap.verify()
+    # the divisor criterion's pair is a kappa gap, and its Clifford witness
+    # does not verify in the kappa gap's place
+    div = pair_status(BNLocus(31, 2, 22), BNLocus(31, 3, 26)).certificate
+    as_divisor = div._replace(witness={"gamma_source": 18, "gamma_target": 20, "clifford_gap": 1})
+    assert div.verify() and not as_divisor.verify()
 
     flip = pair_status(BNLocus(11, 2, 9), BNLocus(11, 1, 6)).certificate
     wrong_rho = NonContainmentCertificate(
@@ -831,6 +921,15 @@ def test_shipped_ledger_contents(ledger):
     # the one genuinely open direction is deliberately absent
     assert ledger.lookup(BNLocus(21, 3, 18), BNLocus(21, 4, 20)) is None
     assert ledger.lookup(BNLocus(20, 3, 17), BNLocus(21, 1, 11)) is None
+
+
+def test_lookup_answers_only_for_the_representatives_pair_status_hands_on(ledger):
+    # (20, 5, 21) is the Serre dual of (20, 3, 17): lookup is keyed on the
+    # representative with d <= g - 1, and pair_status finds the entry under it
+    source, target = BNLocus(20, 5, 21), BNLocus(20, 1, 10)
+    assert ledger.lookup(source, target) is None
+    assert ledger.lookup(_dual(source), target) == "Auel-Haburcak 2022"
+    assert pair_status(source, target, ledger).certificate.rule is Rule.EXTERNAL
 
 
 def test_load_ledger_reads_only_one_json_array(tmp_path):

@@ -620,7 +620,7 @@ def test_check_triple_outside_domain_exit_2(capsys, source, message):
     ("11,9,18", "11,2,9", "9,18,2,9,open,,"),
     ("17,15,30", "17,1,9", "15,30,1,9,trivial-containment,,"),
 ])
-def test_check_divisor_criterion_needs_source_degree_at_most_g_minus_1(
+def test_check_the_serre_dual_of_the_hyperelliptic_locus_gets_no_certificate(
     capsys, source, target, row
 ):
     # each source is the Serre dual of the hyperelliptic locus (g, 1, 2), which

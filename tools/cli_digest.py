@@ -80,9 +80,9 @@ def _check():
 
 
 def _check_rho_minus_one():
-    # rho = -1 targets at g = 21..40, past check-csv's last genus: the first
-    # pairs where a rank >= 2 source meets the Clifford-index divisor
-    # criterion's hypotheses and gap start at g = 23
+    # rho = -1 targets at g = 21..40, past check-csv's last genus.  The
+    # Clifford-index divisor criterion in tests/test_certificates.py, which
+    # KAPPA_GAP subsumes, first holds at g = 23, and on 46 of these pairs
     return _check_pairs(range(21, 41), "--format", "csv", target_rho=-1)
 
 
