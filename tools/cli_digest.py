@@ -14,7 +14,7 @@ runs the script in a `git archive` copy of each and diffs the output:
 It takes no flags and needs only the standard library.  It works from the
 root of the tree it lives in, so the ledger path in the corpus, and with it
 every output that echoes that path, is the same in both copies.  The whole
-corpus is 176,345 invocations and takes about 22-28 seconds on a 2-vCPU VM.
+corpus is 176,575 invocations and takes about 22-28 seconds on a 2-vCPU VM.
 """
 
 import contextlib
@@ -107,6 +107,25 @@ def _figure():
     return [["figure", "--g", str(g)] for g in range(3, 201)]
 
 
+def _exceptional():
+    return [
+        ["exceptional", "--r", str(r), "--s-range", s, "--format", f]
+        for r in range(2, 21)
+        for s in ("maximal", "paper", "lemma")
+        for f in FORMATS
+    ]
+
+
+def _gtable():
+    # no JSON: its "inputs" echo every parsed flag, so they change whenever
+    # gtable gains or loses one
+    return [["gtable"]] + [
+        ["gtable", "--r-min", str(r), "--r-max", str(r), "--format", f]
+        for r in range(2, 31)
+        for f in ("table", "csv")
+    ]
+
+
 def _selftest():
     return [["selftest", "--gmax", "60"]]
 
@@ -122,6 +141,8 @@ FAMILIES = {
     "kappa-csv": _kappa,
     "maximal-csv": _maximal,
     "figure": _figure,
+    "exceptional": _exceptional,
+    "gtable": _gtable,
     "selftest": _selftest,
 }
 
