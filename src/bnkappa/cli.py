@@ -296,10 +296,7 @@ def _cmd_gtable(args) -> _Output:
     if not 2 <= args.r_min <= args.r_max:
         raise _UsageError("gtable requires 2 <= r-min <= r-max")
     _require_at_most("gtable --r-max", args.r_max, SCAN_RANK_CEILING, "scan")
-    s_range = SRange(args.s_range)
-    rows = [
-        [r, maximal_loci.compute_G(r, s_range)] for r in range(args.r_min, args.r_max + 1)
-    ]
+    rows = [[r, maximal_loci.compute_G(r)] for r in range(args.r_min, args.r_max + 1)]
     return _Output(["r", "G"], rows)
 
 
@@ -345,9 +342,6 @@ def _cmd_selftest(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
-
-
-_S_RANGES = tuple(s.value for s in SRange)
 
 
 @cache
@@ -396,10 +390,9 @@ def build_parser() -> _Parser:
     p = add("gtable", _cmd_gtable, "genus thresholds G(r), default r = 2..10")
     p.add_argument("--r-min", type=int, default=2)
     p.add_argument("--r-max", type=int, default=10)
-    p.add_argument("--s-range", choices=_S_RANGES, default="maximal")
 
     p = add("exceptional", _cmd_exceptional, "genera where the kappa inequality fails", "r")
-    p.add_argument("--s-range", choices=_S_RANGES, default="maximal")
+    p.add_argument("--s-range", choices=[s.value for s in SRange], default="maximal")
 
     p = add("figure", _cmd_figure, "per-rank CSV of d_max, rho, kappa and bounds", "g",
             formats=False)

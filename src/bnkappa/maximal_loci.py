@@ -18,12 +18,13 @@ proves the inequality; the paper's threshold genus_threshold_min(r), about
 4(r+1)^(5/2), stays as that end's upper check.
 
 Three choices of the s-range are supported.  MAXIMAL compares against the
-ranks s <= r_max_expected(g) (the default).  PAPER uses the smaller bound
-s <= floor(sqrt(g) - 1/2).  LEMMA uses the coarser bound s <= ceil(sqrt(g)-1),
-which additionally includes, for g just above a square, a top rank whose
-maximal-degree locus has d > g - 1 and is Serre-dual to a lower-rank one;
-published tables of exceptional genera include those duplicate comparisons,
-so reproducing them requires LEMMA (see the README).
+ranks s <= r_max_expected(g) (the default), and is the one the scans run.
+PAPER uses the smaller bound s <= floor(sqrt(g) - 1/2).  LEMMA uses the
+coarser bound s <= ceil(sqrt(g) - 1), which additionally includes, for g
+just above a square, a top rank whose maximal-degree locus has d > g - 1 and
+is Serre-dual to a lower-rank one; published tables of exceptional genera
+include those duplicate comparisons, so reproducing them requires LEMMA (see
+the README).  exceptional_genera derives both from the MAXIMAL list.
 """
 
 from __future__ import annotations
@@ -240,16 +241,17 @@ def scan_end(r: int) -> int:
 
     With n = r + 1, S(r) = n(n+1) + ceil(sqrt(4 n^3 (n+1)^2)), the least
     integer g >= n(n+1)(1 + 2*sqrt(n)), about 2 n^(5/2).  For every
-    g >= S(r) and every s-range, ineq_holds_all_s(g, r, s_range) holds:
+    g >= S(r), ineq_holds_all_s(g, r) holds:
 
     1. kappa_at_dmax(g, r) > L(g) = g/n + r - 2*sqrt(n), and
        kappa_at_dmax(g, s) <= U(s) = g/(s+1) + s for every s (kappa_bounds).
-       U is convex in s, so L >= U at s = r + 1 and at s = B, the top of the
-       s-range, gives kappa(r) > L >= U(s) >= kappa(s) for all r < s <= B.
+       U is convex in s, so L >= U at s = r + 1 and at s = B = r_max_expected(g)
+       gives kappa(r) > L >= U(s) >= kappa(s) for all r < s <= B.
     2. The end s = r + 1.  L >= U(r+1) reads g/(n(n+1)) >= 1 + 2*sqrt(n),
        that is g >= n(n+1)(1 + 2*sqrt(n)): it holds from S(r) on.
-    3. The end s = B.  Each s-range has sqrt(g) - 1/2 < B + 1 and
-       B <= sqrt(g).  With x = B + 1, U(B) = 2*sqrt(g) - 1 + (x - sqrt(g))^2/x,
+    3. The end s = B.  B is the largest s with s(s+1) <= g, so B <= sqrt(g),
+       and sqrt(g) - 1/2 < B + 1 since (B + 3/2)^2 > (B+1)(B+2) > g.
+       With x = B + 1, U(B) = 2*sqrt(g) - 1 + (x - sqrt(g))^2/x,
        and (x - sqrt(g))^2 <= 1 < x for g >= 3, so U(B) < 2*sqrt(g) + 1.
        The inequality L(g) >= 2*sqrt(g) + 1 holds at S(r), decided by surd
        signs, and keeps holding for larger g, because g/n - 2*sqrt(g)
@@ -276,30 +278,11 @@ def scan_end(r: int) -> int:
     return end
 
 
-def _paper_s_bound(g: int) -> int:
-    # floor(sqrt(g) - 1/2): the largest s with (2s+1)^2 <= 4g.
-    return (isqrt(4 * g) - 1) // 2
+def ineq_holds_all_s(g: int, r: int) -> bool:
+    """True iff kappa_at_dmax(g, r) > kappa_at_dmax(g, s) for r < s <= B.
 
-
-def _lemma_s_bound(g: int) -> int:
-    # ceil(sqrt(g) - 1) = ceil(sqrt(g)) - 1.
-    s = isqrt(g)
-    return s - 1 if s * s == g else s
-
-
-def _s_bound(g: int, s_range: SRange) -> int:
-    if s_range is SRange.MAXIMAL:
-        return r_max_expected(g)
-    if s_range is SRange.PAPER:
-        return _paper_s_bound(g)
-    return _lemma_s_bound(g)
-
-
-def ineq_holds_all_s(g: int, r: int, s_range: SRange = SRange.MAXIMAL) -> bool:
-    """True iff kappa_at_dmax(g, r) > kappa_at_dmax(g, s) for every s in range.
-
-    The range is r < s <= B(g) with B given by `s_range`; an empty range
-    holds vacuously.
+    B = r_max_expected(g), the MAXIMAL s-range (exceptional_genera derives
+    the others); an empty range holds vacuously.
 
     The ranks are pruned with kappa's inclusive upper bound
     kappa_at_dmax(g, s) <= g/(s+1) + s (the upper end of `kappa_bounds`),
@@ -311,7 +294,7 @@ def ineq_holds_all_s(g: int, r: int, s_range: SRange = SRange.MAXIMAL) -> bool:
     if g < 3 or r < 1:
         raise DomainError(f"ineq_holds_all_s requires g >= 3 and r >= 1, got ({g}, {r})")
     kr = kappa_at_dmax(g, r)
-    top = _s_bound(g, s_range)
+    top = r_max_expected(g)
     # kr > g/(s+1) + s, cleared of its denominator
     beats_top = kr * (top + 1) > g + top * (top + 1)
     for s in range(r + 1, top + 1):
@@ -332,14 +315,15 @@ def min_genus_for_rank(r: int) -> int:
     return max(3, r * (r + 1))
 
 
-def compute_G(r: int, s_range: SRange = SRange.MAXIMAL) -> int:
+def compute_G(r: int) -> int:
     """Smallest genus from which the kappa inequality holds for rank r.
 
     One more than the largest exceptional genus, or the first genus where
     rank r is expected maximal if there is none.  It lies at most at
-    scan_end(r).
+    scan_end(r).  For r = 2..60 it is the same under every s-range: the lists
+    differ only up to (r+1)(r+2), and the MAXIMAL list passes that genus.
     """
-    genera = exceptional_genera(r, s_range)
+    genera = exceptional_genera(r)
     return genera[-1] + 1 if genera else min_genus_for_rank(r)
 
 
@@ -348,12 +332,32 @@ def exceptional_genera(r: int, s_range: SRange = SRange.MAXIMAL) -> list[int]:
 
     Scans every genus from the first where rank r is expected maximal,
     min_genus_for_rank(r), up to scan_end(r), from which the inequality is
-    proven to hold.
+    proven to hold, against the MAXIMAL ranks (ineq_holds_all_s).  The other
+    s-ranges move the top rank by one on a few genera, and change the list
+    only on one window.  Write n = r + 1 and k_s = kappa_at_dmax(g, s).
+
+    - PAPER's top rank, the largest s with s(s+1) < g, is one below
+      MAXIMAL's (the largest s with s(s+1) <= g) only at g = s(s+1).  There
+      k_s = 2s + 2 - ceil(2 sqrt(s+1)) <= 2s + 2 - ceil(2 sqrt(s)) = k_(s-1).
+      So for s >= r + 2 rank s adds no failure beyond rank s - 1.  For
+      s = n, rank n is MAXIMAL's only competitor and PAPER has none:
+      E_PAPER = E_MAXIMAL without n(n+1).
+    - LEMMA's top rank, the largest s with s^2 < g, is one above MAXIMAL's
+      only on s^2 < g < s(s+1).  There d_max(g, s) = g, and the Serre dual
+      of (g, s, g) is (g, s-1, g-2), the rank-(s-1) maximal locus, so
+      k_s = k_(s-1).  So for s >= r + 2 rank s repeats rank s - 1.  For
+      s = n, MAXIMAL has no competitor, while LEMMA ties rank r with its own
+      dual: E_LEMMA = E_MAXIMAL with every g in n^2 < g < n(n+1) added.
+
+    Both windows lie inside the scan range [r(r+1), scan_end(r)].
     """
     if r < 2:
         raise DomainError(f"exceptional_genera requires r >= 2, got {r}")
-    return [
-        g
-        for g in range(min_genus_for_rank(r), scan_end(r) + 1)
-        if not ineq_holds_all_s(g, r, s_range)
-    ]
+    span = range(min_genus_for_rank(r), scan_end(r) + 1)
+    genera = [g for g in span if not ineq_holds_all_s(g, r)]
+    n = r + 1
+    if s_range is SRange.PAPER:
+        return [g for g in genera if g != n * (n + 1)]
+    if s_range is SRange.LEMMA:
+        return sorted(genera + list(range(n * n + 1, n * (n + 1))))
+    return genera

@@ -143,7 +143,7 @@ def suite_certificates(gmax: int) -> SuiteResult:
     return res
 
 
-def run_all(gmax: int = 60) -> list[SuiteResult]:
+def run_all(gmax: int) -> list[SuiteResult]:
     """Every suite; each genus sweep covers exactly the genera up to gmax."""
     return [
         suite_exact_arithmetic(),

@@ -26,6 +26,8 @@ from bnkappa.maximal_loci import (
     scan_end,
 )
 
+from test_maximal_loci import _ineq_holds_in_range  # the s-range oracle
+
 SHIPPED_LEDGER = "data/known.json"
 
 
@@ -132,8 +134,9 @@ def test_criterion_08_bounds_and_threshold_soundness():
                 assert ineq_holds_all_s(g, r), (g, r)
                 guaranteed += 1
             if r >= 2 and g >= ends[r]:
+                assert ineq_holds_all_s(g, r), (g, r)
                 for s_range in SRange:
-                    assert ineq_holds_all_s(g, r, s_range), (g, r, s_range)
+                    assert _ineq_holds_in_range(g, r, s_range), (g, r, s_range)
                 scan_ended += 1
     assert sandwiched and fired and guaranteed and scan_ended
     _announce(

@@ -678,8 +678,8 @@ def test_gtable_table_and_json_frozen(capsys):
     code, out, _ = run(capsys, "gtable", "--r-min", "2", "--r-max", "4", "--format", "json")
     assert code == 0
     assert out == (
-        '{\n  "command": "gtable",\n  "inputs": {\n    "r_min": 2,\n    "r_max": 4,\n'
-        '    "s_range": "maximal"\n  },\n  "result": [\n'
+        '{\n  "command": "gtable",\n  "inputs": {\n    "r_min": 2,\n    "r_max": 4\n'
+        '  },\n  "result": [\n'
         '    {\n      "r": 2,\n      "G": 28\n    },\n'
         '    {\n      "r": 3,\n      "G": 50\n    },\n'
         '    {\n      "r": 4,\n      "G": 96\n    }\n  ]\n}\n'
@@ -696,6 +696,13 @@ def test_gtable_bad_range_exit_1(capsys):
     assert code == 1 and "r-min" in err
     code, _, _ = run(capsys, "gtable", "--r-min", "1", "--r-max", "4")
     assert code == 1
+
+
+def test_gtable_s_range_is_an_unrecognized_argument(capsys):
+    # G(r) is the same under every s-range for r = 2..60, so gtable has none
+    code, out, err = run(capsys, "gtable", "--s-range", "lemma")
+    assert (code, out) == (1, "")
+    assert "error: unrecognized arguments: --s-range lemma" in err
 
 
 def test_exceptional_outputs(capsys):
@@ -722,7 +729,7 @@ def test_exceptional_csv_frozen(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("gtable", "--r-max", str(SCAN_RANK_CEILING + 1)),
-    ("gtable", "--r-min", "4", "--r-max", str(SCAN_RANK_CEILING + 1), "--s-range", "lemma"),
+    ("gtable", "--r-min", "4", "--r-max", str(SCAN_RANK_CEILING + 1)),
     ("exceptional", "--r", str(SCAN_RANK_CEILING + 1)),
     ("exceptional", "--r", str(10**9), "--format", "json"),
 ])
@@ -738,7 +745,7 @@ def test_scan_at_the_ceiling_runs(capsys, monkeypatch):
     calls = []
     monkeypatch.setattr("bnkappa.maximal_loci.exceptional_genera",
                         lambda r, s_range: calls.append(r) or [r])
-    monkeypatch.setattr("bnkappa.maximal_loci.compute_G", lambda r, s_range: calls.append(r) or r)
+    monkeypatch.setattr("bnkappa.maximal_loci.compute_G", lambda r: calls.append(r) or r)
     code, out, _ = run(capsys, "exceptional", "--r", str(SCAN_RANK_CEILING))
     assert (code, out, calls) == (0, f"{SCAN_RANK_CEILING}\n", [SCAN_RANK_CEILING])
     code, out, _ = run(capsys, "gtable", "--r-min", str(SCAN_RANK_CEILING - 1),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bnkappa.bn_core import BNLocus, kappa, kappa_brute, rho
 from bnkappa import maximal_loci
 from bnkappa.errors import DomainError, InternalError
+from bnkappa.exact_arith import floor_neg_2sqrt
 from bnkappa.maximal_loci import (
     SRange,
     compute_G,
@@ -30,7 +31,9 @@ from bnkappa.maximal_loci import (
 
 # Published failure sets for the rank ordering, r = 2, 3, 4 (Auel-Haburcak
 # 2022).  Reproducing them requires comparing against every rank s up to
-# ceil(sqrt(g)) - 1, i.e. SRange.LEMMA; see the module docstring.
+# ceil(sqrt(g)) - 1, i.e. SRange.LEMMA: the MAXIMAL list plus the genera
+# (r+1)^2 < g < (r+1)(r+2), where the top rank ties rank r with its Serre
+# dual; see exceptional_genera.
 PUBLISHED_EXCEPTIONAL = {
     2: [10, 11, 12, 15, 18, 19, 24, 27],
     3: [17, 18, 19, 21, 24, 28, 29, 33, 34, 41, 44, 49],
@@ -46,15 +49,37 @@ G_TABLE = {
 }
 
 
+def _s_bound(g, s_range):
+    # the top competing rank under each s-range
+    if s_range is SRange.MAXIMAL:
+        return r_max_expected(g)  # the largest s with s(s+1) <= g
+    if s_range is SRange.PAPER:
+        return (math.isqrt(4 * g) - 1) // 2  # floor(sqrt(g) - 1/2): largest s with s(s+1) < g
+    s = math.isqrt(g)
+    return s - 1 if s * s == g else s  # ceil(sqrt(g) - 1): largest s with s^2 < g
+
+
+def _ineq_holds_in_range(g, r, s_range):
+    # the oracle of the derived PAPER and LEMMA lists: the pruned ladder
+    # against every rank of the s-range
+    kr = kappa_at_dmax(g, r)
+    top = _s_bound(g, s_range)
+    beats_top = kr * (top + 1) > g + top * (top + 1)
+    for s in range(r + 1, top + 1):
+        if beats_top and kr * (s + 1) > g + s * (s + 1):
+            return True
+        if kr <= kappa_at_dmax(g, s):
+            return False
+    return True
+
+
 def _ineq_unpruned(g, r, s_range):
     # the oracle of the pruned ladder: exact kappa at every rank in range
     kr = kappa_at_dmax(g, r)
-    return all(
-        kr > kappa_at_dmax(g, s) for s in range(r + 1, maximal_loci._s_bound(g, s_range) + 1)
-    )
+    return all(kr > kappa_at_dmax(g, s) for s in range(r + 1, _s_bound(g, s_range) + 1))
 
 
-def _full_scan(r, s_range, holds=ineq_holds_all_s):
+def _full_scan(r, s_range, holds=_ineq_holds_in_range):
     # the oracle of the scans: every genus up to the paper's threshold
     return [
         g
@@ -140,7 +165,7 @@ def test_kappa_at_dmax_frozen():
 def test_kappa_at_dmax_agrees_with_both_routes():
     # ranks up to the lemma s-range's top, whose d_max can exceed g - 1
     for g in range(3, 200):
-        for r in range(1, max(r_max_expected(g), maximal_loci._lemma_s_bound(g)) + 1):
+        for r in range(1, _s_bound(g, SRange.LEMMA) + 1):
             d = d_max(g, r)
             closed = kappa_at_dmax(g, r)
             assert closed == kappa(g, r, d).value, (g, r)
@@ -270,7 +295,8 @@ def test_genus_threshold_implies_inequality():
     for r in (2, 3):
         gmin = genus_threshold_min(r)
         for g in range(gmin, gmin + 200):
-            assert ineq_holds_all_s(g, r, SRange.LEMMA), (g, r)
+            assert ineq_holds_all_s(g, r), (g, r)
+            assert _ineq_holds_in_range(g, r, SRange.LEMMA), (g, r)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +355,8 @@ def test_ineq_holds_from_the_scan_end_on(data):
     r = data.draw(st.integers(min_value=2, max_value=300))
     g = data.draw(st.integers(min_value=scan_end(r), max_value=10**12))
     s_range = data.draw(st.sampled_from(SRange))
-    assert ineq_holds_all_s(g, r, s_range)
+    assert ineq_holds_all_s(g, r)
+    assert _ineq_holds_in_range(g, r, s_range)
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +366,19 @@ def test_ineq_holds_from_the_scan_end_on(data):
 def test_ineq_holds_all_s_frozen():
     assert ineq_holds_all_s(28, 2)
     assert not ineq_holds_all_s(27, 2)
-    assert not ineq_holds_all_s(10, 2, SRange.LEMMA)
+    assert not _ineq_holds_in_range(10, 2, SRange.LEMMA)
     assert ineq_holds_all_s(10, 2)  # rank 3 not expected maximal at g = 10
+    assert 10 in exceptional_genera(2, SRange.LEMMA)
 
 
 def test_ineq_holds_all_s_matches_unpruned_loop():
     for g in range(3, 1001):
         for s_range in SRange:
-            for r in range(1, maximal_loci._s_bound(g, s_range) + 2):
-                assert ineq_holds_all_s(g, r, s_range) == _ineq_unpruned(g, r, s_range), (
-                    g, r, s_range,
-                )
+            for r in range(1, _s_bound(g, s_range) + 2):
+                holds = _ineq_holds_in_range(g, r, s_range)
+                assert holds == _ineq_unpruned(g, r, s_range), (g, r, s_range)
+                if s_range is SRange.MAXIMAL:
+                    assert ineq_holds_all_s(g, r) == holds, (g, r)
 
 
 @given(
@@ -359,8 +388,11 @@ def test_ineq_holds_all_s_matches_unpruned_loop():
 )
 @settings(max_examples=200)
 def test_ineq_holds_all_s_matches_unpruned_loop_at_large_genus(g, fraction, s_range):
-    r = 1 + int(fraction * maximal_loci._s_bound(g, s_range))
-    assert ineq_holds_all_s(g, r, s_range) == _ineq_unpruned(g, r, s_range)
+    r = 1 + int(fraction * _s_bound(g, s_range))
+    holds = _ineq_holds_in_range(g, r, s_range)
+    assert holds == _ineq_unpruned(g, r, s_range)
+    if s_range is SRange.MAXIMAL:
+        assert ineq_holds_all_s(g, r) == holds
 
 
 @pytest.mark.parametrize("r", [2, 10, 22, 40])
@@ -385,15 +417,18 @@ def test_each_scan_tests_every_genus_up_to_the_scan_end_once(monkeypatch, r):
     tested = []
     original = maximal_loci.ineq_holds_all_s
 
-    def counted(g, r, s_range):
+    def counted(g, r):
         tested.append(g)
-        return original(g, r, s_range)
+        return original(g, r)
 
     monkeypatch.setattr(maximal_loci, "ineq_holds_all_s", counted)
     for s_range in SRange:
         tested.clear()
-        compute_G(r, s_range)
+        exceptional_genera(r, s_range)
         assert tested == list(range(min_genus_for_rank(r), scan_end(r) + 1)), s_range
+    tested.clear()
+    compute_G(r)
+    assert tested == list(range(min_genus_for_rank(r), scan_end(r) + 1))
 
 
 def test_min_genus_for_rank_frozen():
@@ -413,8 +448,12 @@ def test_min_genus_for_rank_matches_scan():
 
 
 def test_compute_G_frozen_and_range_independent():
+    assert {r: compute_G(r) for r in G_TABLE} == G_TABLE
     for s_range in SRange:
-        assert {r: compute_G(r, s_range) for r in G_TABLE} == G_TABLE, s_range
+        # one more than each list's last genus; the lists match the oracle's
+        # in test_exceptional_genera_match_the_full_scan_to_rank_30
+        got = {r: exceptional_genera(r, s_range)[-1] + 1 for r in G_TABLE}
+        assert got == G_TABLE, s_range
 
 
 def test_exceptional_genera_lemma_matches_published():
@@ -446,6 +485,51 @@ def test_exceptional_genera_match_the_full_scan_to_rank_30():
             assert exceptional_genera(r, s_range) == _full_scan(r, s_range), (r, s_range)
 
 
+def test_the_s_ranges_differ_only_on_the_window_below_the_last_maximal_genus():
+    # E_PAPER = E_MAXIMAL without n(n+1), which is in E_MAXIMAL exactly when
+    # ceil(2 sqrt(n)) = ceil(2 sqrt(n+1)); E_LEMMA adds n^2 < g < n(n+1);
+    # E_MAXIMAL's last genus lies past the window, so G(r) is range-free
+    for r in range(2, 41):
+        n = r + 1
+        span = range(min_genus_for_rank(r), scan_end(r) + 1)
+        oracle = {
+            s: [g for g in span if not _ineq_holds_in_range(g, r, s)]
+            for s in (SRange.PAPER, SRange.LEMMA)
+        }
+        maximal = exceptional_genera(r)
+        assert exceptional_genera(r, SRange.PAPER) == oracle[SRange.PAPER], r
+        assert exceptional_genera(r, SRange.LEMMA) == oracle[SRange.LEMMA], r
+        assert set(oracle[SRange.PAPER]) == set(maximal) - {n * (n + 1)}, r
+        assert set(oracle[SRange.LEMMA]) == set(maximal) | set(range(n * n + 1, n * (n + 1))), r
+        assert (n * (n + 1) in maximal) == (floor_neg_2sqrt(n) == floor_neg_2sqrt(n + 1)), r
+        assert maximal[-1] > n * (n + 1), r
+
+
+def _top_rank_ties(s, window):
+    # rank s's kappa at g = s(s+1), where PAPER drops rank s, is at most rank
+    # s - 1's; on the window s^2 < g < s(s+1), where LEMMA adds rank s, its
+    # maximal locus (g, s, g) is Serre-dual to (g, s - 1, g - 2) and ties it
+    g = s * (s + 1)
+    assert kappa_at_dmax(g, s) == 2 * s + 2 + floor_neg_2sqrt(s + 1), s
+    assert kappa_at_dmax(g, s - 1) == 2 * s + 2 + floor_neg_2sqrt(s), s
+    assert kappa_at_dmax(g, s) <= kappa_at_dmax(g, s - 1), s
+    for g in window:
+        assert d_max(g, s) == g and d_max(g, s - 1) == g - 2, (g, s)
+        assert kappa_at_dmax(g, s) == kappa_at_dmax(g, s - 1), (g, s)
+
+
+def test_the_top_rank_identities_for_every_s_to_500():
+    for s in range(2, 501):
+        _top_rank_ties(s, range(s * s + 1, s * (s + 1)))
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_the_top_rank_identities_up_to_s_10_to_the_6(data):
+    s = data.draw(st.integers(min_value=2, max_value=10**6))
+    _top_rank_ties(s, [s * s + data.draw(st.integers(min_value=1, max_value=s - 1))])
+
+
 def test_exceptional_genera_nesting_and_G_consistency():
     for r in range(2, 11):
         paper = exceptional_genera(r, SRange.PAPER)
@@ -453,7 +537,7 @@ def test_exceptional_genera_nesting_and_G_consistency():
         lemma = exceptional_genera(r, SRange.LEMMA)
         assert set(paper) <= set(maximal) <= set(lemma), r
         assert compute_G(r) == max(maximal) + 1, r
-        assert compute_G(r, SRange.LEMMA) == max(lemma) + 1, r
+        assert compute_G(r) == max(_full_scan(r, SRange.LEMMA)) + 1 == max(lemma) + 1, r
 
 
 def test_compute_G_rejects_rank_one():
