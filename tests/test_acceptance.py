@@ -56,7 +56,7 @@ def test_criterion_02_expected_maximal_loci_sets():
 
 def test_criterion_03_G_table():
     start = time.monotonic()
-    got = [compute_G(r) for r in range(2, 11)]  # default MAXIMAL s-range
+    got = [compute_G(r) for r in range(2, 11)]
     assert got == [28, 50, 96, 140, 232, 306, 390, 561, 684]
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"budget exceeded: {elapsed:.2f}s"
