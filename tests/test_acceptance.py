@@ -157,11 +157,11 @@ def test_criterion_09_genus_reports():
     _announce(9, "genus 20 verified; genus 21 open exactly at (3,18) vs (4,20)")
 
 
-def test_criterion_10_figure_data(capsys, tmp_path):
+def test_criterion_10_figure_data(capsys):
+    figures = {}
     for g, ranks in ((96, 9), (479, 21)):
-        out_path = tmp_path / f"fig{g}.csv"
-        assert main(["figure", "--g", str(g), "--out", str(out_path)]) == 0
-        lines = out_path.read_bytes().decode().rstrip("\r\n").split("\r\n")
+        assert main(["figure", "--g", str(g)]) == 0
+        lines = capsys.readouterr().out.rstrip("\r\n").split("\r\n")
         assert len(lines) == ranks + 1
         kappas = []
         for r, line in zip(range(1, ranks + 1), lines[1:]):
@@ -170,9 +170,9 @@ def test_criterion_10_figure_data(capsys, tmp_path):
             assert int(cells[3]) == kappa_at_dmax(g, r)
             kappas.append(int(cells[3]))
         assert any(a <= b for a, b in zip(kappas, kappas[1:])), g  # non-strict step
-    fig96 = (tmp_path / "fig96.csv").read_bytes().decode().rstrip("\r\n").split("\r\n")
+        figures[g] = lines
+    fig96 = figures[96]
     assert int(fig96[5].split(",")[3]) == int(fig96[6].split(",")[3]) == 18
-    capsys.readouterr()
     _announce(10, "figure CSVs for g = 96 (plateau at 18) and g = 479 check out")
 
 

@@ -792,12 +792,10 @@ def test_figure_stdout_g96(capsys):
     assert kappas[4] == kappas[5] == 18  # the plateau: not strictly decreasing
 
 
-def test_figure_out_file_g479(capsys, tmp_path):
-    out_path = tmp_path / "fig.csv"
-    code, out, _ = run(capsys, "figure", "--g", "479", "--out", str(out_path))
-    assert code == 0 and out == ""
-    raw = out_path.read_bytes().decode()
-    lines = raw.rstrip("\r\n").split("\r\n")
+def test_figure_stdout_g479(capsys):
+    code, out, _ = run(capsys, "figure", "--g", "479")
+    assert code == 0
+    lines = out.rstrip("\r\n").split("\r\n")
     assert len(lines) == 22  # header + ranks 1..21
     assert lines[1].startswith("1,")
     assert lines[21].startswith("21,")

@@ -14,7 +14,7 @@ runs the script in a `git archive` copy of each and diffs the output:
 It takes no flags and needs only the standard library.  It works from the
 root of the tree it lives in, so the ledger path in the corpus, and with it
 every output that echoes that path, is the same in both copies.  The whole
-corpus is 176,575 invocations and takes about 22-28 seconds on a 2-vCPU VM.
+corpus is 185,548 invocations and takes about 24-30 seconds on a 2-vCPU VM.
 """
 
 import contextlib
@@ -90,17 +90,60 @@ def _check_ledger():
     return _check_pairs((20, 21), "--ledger", LEDGER, "--format", "csv")
 
 
-def _kappa():
+def _kappa_args():
     return [
-        ["kappa", "--g", str(g), "--r", str(r), "--d", str(d), "--format", "csv"]
+        ["kappa", "--g", str(g), "--r", str(r), "--d", str(d)]
         for g in range(31)
         for r in range(-1, g + 3)
         for d in range(-1, 2 * g + 3)
     ]
 
 
+def _kappa():
+    return [[*argv, "--format", "csv"] for argv in _kappa_args()]
+
+
 def _maximal():
     return [["maximal", "--g", str(g), "--format", "csv"] for g in range(3, 201)]
+
+
+def _scalars():
+    # every scalar command on a small grid that meets each of its refusal
+    # texts, in every format, plus one argument argparse refuses per command
+    grids = {
+        "rho": [(g, r, d) for g in range(9) for r in range(-1, 5) for d in range(-1, 9)],
+        "gamma": [(r, d) for r in range(-2, 8) for d in range(-2, 14)],
+        "rhok": [
+            (g, r, d, k)
+            for g in (1, 2, 5, 8)
+            for r in range(-1, 4)
+            for d in range(-1, 11)
+            for k in range(0, 6, 2)
+        ],
+        "dmax": [(g, r) for g in range(21) for r in range(-1, 8)],
+    }
+    flags = {"rho": "g r d", "gamma": "r d", "rhok": "g r d k", "dmax": "g r"}
+    argvs = []
+    for command, grid in grids.items():
+        names = flags[command].split()
+        for values in grid:
+            argv = [command]
+            for name, value in zip(names, values):
+                argv += [f"--{name}", str(value)]
+            argvs += [[*argv, "--format", f] for f in FORMATS]
+        argvs.append([command, f"--{names[0]}", "x"])
+    return argvs
+
+
+def _formats_sampled():
+    # kappa, check and maximal as a table and as JSON, on every 25th kappa
+    # argv, every 97th check-csv pair and every maximal genus
+    sampled = [
+        *_kappa_args()[::25],
+        *[argv[:-2] for argv in _check()[::97]],
+        *[argv[:-2] for argv in _maximal()],
+    ]
+    return [[*argv, "--format", f] for argv in sampled for f in ("table", "json")]
 
 
 def _figure():
@@ -140,6 +183,8 @@ FAMILIES = {
     "check-ledger": _check_ledger,
     "kappa-csv": _kappa,
     "maximal-csv": _maximal,
+    "scalars": _scalars,
+    "table-json": _formats_sampled,
     "figure": _figure,
     "exceptional": _exceptional,
     "gtable": _gtable,
