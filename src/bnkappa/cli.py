@@ -311,16 +311,7 @@ _FIGURE_HEADERS = ["r", "d_max", "rho", "kappa", "lower_bound_approx", "upper_bo
 
 
 def _cmd_figure(args) -> int:
-    text = _csv_text(_FIGURE_HEADERS, _cmd_maximal(args).rows)
-    if args.out is None:
-        sys.stdout.write(text)
-        return 0
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
+    sys.stdout.write(_csv_text(_FIGURE_HEADERS, _cmd_maximal(args).rows))
     return 0
 
 
@@ -394,9 +385,8 @@ def build_parser() -> _Parser:
     p = add("exceptional", _cmd_exceptional, "genera where the kappa inequality fails", "r")
     p.add_argument("--s-range", choices=[s.value for s in SRange], default="maximal")
 
-    p = add("figure", _cmd_figure, "per-rank CSV of d_max, rho, kappa and bounds", "g",
-            formats=False)
-    p.add_argument("--out", default=None, help="output path (stdout if omitted)")
+    add("figure", _cmd_figure, "per-rank CSV of d_max, rho, kappa and bounds", "g",
+        formats=False)
 
     p = add("selftest", _cmd_selftest, "run built-in consistency suites", formats=False)
     p.add_argument("--gmax", type=int, default=60,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from decimal import Decimal, localcontext
-from typing import Optional
 
 from . import bn_core, maximal_loci
 from .exact_arith import floor_neg_2sqrt, surd_sign
@@ -19,11 +18,9 @@ from .exact_arith import floor_neg_2sqrt, surd_sign
 class SuiteResult:
     """One suite's counts and its first few failure details; check() adds to them."""
 
-    def __init__(
-        self, name: str, passed: int = 0, failed: int = 0, failures: Optional[list[str]] = None
-    ) -> None:
-        self.name, self.passed, self.failed = name, passed, failed
-        self.failures = [] if failures is None else failures
+    def __init__(self, name: str) -> None:
+        self.name, self.passed, self.failed = name, 0, 0
+        self.failures: list[str] = []
 
     def check(self, ok: bool, detail: str) -> None:
         if ok:

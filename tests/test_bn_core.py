@@ -268,12 +268,6 @@ def test_kappa_undefined_when_rho_nonnegative():
             fn(20, 1, 12)
 
 
-def test_kappa_closed_requires_low_degree():
-    # rho(20,5,21) = -4 but d > g-1, outside the closed formula's domain
-    with pytest.raises(DomainError):
-        kappa_closed(20, 5, 21)
-
-
 def test_kappa_dispatch_serre_reduction():
     # (20,5,21) reduces to its dual (20,3,17)
     res = kappa(20, 5, 21)
@@ -325,15 +319,14 @@ def serre_dual(g, r, d):
 
 
 def kappa_two_step(g, r, d):
-    """kappa's oracle: kappa_closed itself for d <= g - 1, and for d > g - 1
-    kappa_closed on serre_dual's indices, wrapped in a second result.
-
-    For rho >= 0, kappa_closed raises the error kappa raises.
+    """kappa's oracle on the Serre-dual range: for d > g - 1, kappa on
+    serre_dual's indices, which have degree <= g - 1, wrapped in a second
+    result.  Elsewhere, and for rho >= 0, it is kappa itself.
     """
     rv = rho(g, r, d)
     if d <= g - 1 or rv >= 0:
-        return kappa_closed(g, r, d)
-    dual = kappa_closed(*serre_dual(g, r, d))
+        return kappa(g, r, d)
+    dual = kappa(*serre_dual(g, r, d))
     return KappaResult(dual.value, KappaBranch.SERRE_DUAL_REDUCTION)
 
 
@@ -368,21 +361,13 @@ def test_kappa_equals_the_two_step_route_on_every_small_triple():
                     assert got.startswith(KAPPA_ERRORS), got
                 else:
                     assert got == want, (g, r, d)
-                # kappa_closed is kappa, bar its one refusal of the Serre-dual range
-                refused = g >= 2 and r >= 0 and d > g - 1 and rho(g, r, d) < 0
-                assert _outcome(kappa_closed, g, r, d) == (
-                    f"kappa_closed requires d <= g - 1, got d={d}, g={g}" if refused else got
-                ), (g, r, d)
+                # kappa_closed is kappa: the same value and branch, or the same text
+                assert _outcome(kappa_closed, g, r, d) == got, (g, r, d)
     assert seen == set(KAPPA_ERRORS)
 
 
 @pytest.mark.parametrize("fn, texts", [
-    (kappa_closed, (
-        "rho requires g >= 2, r >= 0, d >= 0",
-        "kappa undefined outside rho < 0",
-        "kappa_closed requires d <= g - 1",
-        "kappa requires d - 2r >= 0",
-    )),
+    (kappa_closed, KAPPA_ERRORS),
     (kappa_brute, (
         "rho requires g >= 2, r >= 0, d >= 0",
         "kappa undefined outside rho < 0",
@@ -418,6 +403,7 @@ def test_kappa_on_the_dual_route_equals_the_two_step_route_at_huge_genus(data):
     want = kappa_two_step(g, r, d)
     assert want.branch == KappaBranch.SERRE_DUAL_REDUCTION and rho(g, r, d) < 0
     assert kappa(g, r, d) == want
+    assert kappa_closed(g, r, d) == want
 
 
 @pytest.mark.parametrize("g, r, d, branch", [

@@ -520,14 +520,6 @@ def test_maximal_and_figure_above_the_ceiling_exit_2_before_any_work(capsys, mon
                    f"listing's cost, got {argv[2]}\n")
 
 
-def test_figure_above_the_ceiling_writes_no_file(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr("bnkappa.maximal_loci.enumerate_expected_maximal", _refused)
-    out = tmp_path / "fig.csv"
-    code, _, err = run(capsys, "figure", "--g", str(MAXIMAL_GENUS_CEILING + 1), "--out", str(out))
-    assert code == 2 and f"capped at {MAXIMAL_GENUS_CEILING}" in err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("argv", [
     ("maximal", "--g", str(MAXIMAL_GENUS_CEILING), "--format", "csv"),
     ("figure", "--g", str(MAXIMAL_GENUS_CEILING)),
@@ -810,10 +802,13 @@ def test_figure_matches_maximal_rows(capsys):
     assert fig_rows == table_rows
 
 
-def test_figure_unwritable_path_exit_1(capsys, tmp_path):
-    target = tmp_path / "missing-dir" / "fig.csv"
-    code, _, err = run(capsys, "figure", "--g", "20", "--out", str(target))
-    assert code == 1 and "cannot write" in err
+def test_figure_out_is_refused_exit_1(capsys, tmp_path):
+    # figure writes to stdout only, like every other command
+    target = tmp_path / "fig.csv"
+    code, out, err = run(capsys, "figure", "--g", "20", "--out", str(target))
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --out" in err
+    assert not target.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -843,8 +838,9 @@ def test_selftest_gmax_outside_its_range_exit_2_before_any_suite(capsys, monkeyp
 @pytest.mark.parametrize("gmax", [6, SELFTEST_GENUS_CEILING])
 def test_selftest_gmax_at_the_ends_of_its_range_runs(capsys, monkeypatch, gmax):
     calls = []
-    monkeypatch.setattr("bnkappa.selfcheck.run_all",
-                        lambda g: calls.append(g) or [SuiteResult("stub", passed=1)])
+    stub = SuiteResult("stub")
+    stub.check(True, "")
+    monkeypatch.setattr("bnkappa.selfcheck.run_all", lambda g: calls.append(g) or [stub])
     code, out, _ = run(capsys, "selftest", "--gmax", str(gmax))
     assert (code, calls) == (0, [gmax])
     assert out.startswith("PASS  stub: 1 passed, 0 failed")

@@ -30,8 +30,8 @@ UNUSED_BY_DESIGN = {
     # bound, which is sharper, so the f-criterion stays as the paper states it
     # and the tests check it for soundness.
     ("maximal_loci", "f_criterion"),
-    # kappa restricted to d <= g - 1: the benchmark's oracle workload is its
-    # only caller, by name.  selftest checks kappa itself against kappa_brute.
+    # kappa under the name the benchmark's oracle workload calls, its only
+    # caller.  selftest checks kappa itself against kappa_brute.
     ("bn_core", "kappa_closed"),
 }
 
