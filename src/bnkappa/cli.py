@@ -276,11 +276,11 @@ REPORT_GENUS_CEILING = 50_000
 # library's enumerate_expected_maximal takes any genus.
 MAXIMAL_GENUS_CEILING = 10**10
 
-# The kappa oracle suite checks closed against brute kappa on every admissible
-# triple up to --gmax, about gmax^3/12 of them at O(log g) each: `selftest
-# --gmax 160` takes about 1.4-1.9 s on a 2-vCPU VM (about 1.4-1.7 s of it in
-# that suite, about 0.05 s certifying genera up to 160), so larger sweeps are
-# refused.
+# The kappa oracle suite checks closed against brute kappa on every triple in
+# kappa_brute's domain up to --gmax, about gmax^3/6 of them at about two steps
+# each: `selftest --gmax 160` takes about 2.0-2.6 s on a 2-vCPU VM (about
+# 2 s of it in that suite, about 0.05 s certifying genera up to 160), so
+# larger sweeps are refused.
 # The library's selfcheck.run_all takes any gmax.
 SELFTEST_GENUS_CEILING = 160
 

@@ -60,9 +60,11 @@ def suite_exact_arithmetic() -> SuiteResult:
 
 def suite_kappa_oracle(gmax: int) -> SuiteResult:
     res = SuiteResult("kappa-oracle-equivalence")
+    # every triple kappa_brute accepts, so d > g - 1 reaches kappa's
+    # Serre-dual branch too; g - d + r >= 1 is implied by rho < 0
     for g in range(3, gmax + 1):
-        for r in range(1, g // 2 + 1):
-            for d in range(2 * r, g):
+        for r in range(1, g):
+            for d in range(2 * r, g + r):
                 if bn_core.rho(g, r, d) >= 0:
                     continue
                 closed = bn_core.kappa(g, r, d)

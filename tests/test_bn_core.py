@@ -217,7 +217,7 @@ def brute_domain(gmax):
 
 
 def test_kappa_brute_matches_linear_scan():
-    # the scan over every k is the definition the bisection must reproduce
+    # the scan over every k is the definition the Newton steps must reproduce
     for g, r, d in brute_domain(60):
         cap = general_gonality(g)
         scan = max(k for k in range(2, cap + 1) if rho_pflueger(g, r, d, k) >= 0)
@@ -225,29 +225,88 @@ def test_kappa_brute_matches_linear_scan():
         assert kappa_brute(g, r, d) == expected, (g, r, d)
 
 
-@pytest.mark.parametrize("rho_k", [0, -1])
-def test_kappa_brute_internal_errors(monkeypatch, rho_k):
-    # rho_k >= 0 at the general gonality, or rho_2 < 0, contradicts the theory
-    monkeypatch.setattr(bn_core, "_rho_k", lambda g, a, h, top, k: rho_k)
-    with pytest.raises(InternalError):
+def _rho_k(g, a, h, top, k):
+    """rho_k from a = r + 1, h = g - d + r and top = r' by the shared kernel."""
+    l, line = bn_core._rho_k_line(g, a, h, top, k)
+    return line - l * k
+
+
+def _kappa_by_bisection(g, r, d):
+    """kappa_brute's value by bisection over k in [2, floor((g+3)/2)].
+
+    Sound because rho_k is non-increasing in k; O(log g) evaluations of rho_k.
+    """
+    rv = rho(g, r, d)
+    if rv >= 0:
+        raise DomainError(f"kappa undefined outside rho < 0: rho({g},{r},{d}) = {rv}")
+    if d - 2 * r < 0:
+        raise DomainError(f"kappa_brute requires d - 2r >= 0, got {d - 2 * r}")
+    a, h, top = r + 1, g - d + r, r_prime(g, r, d)
+    cap = general_gonality(g)
+    if _rho_k(g, a, h, top, cap) >= 0:
+        raise InternalError(
+            f"rho_k >= 0 at the general gonality k={cap} although rho({g},{r},{d}) < 0"
+        )
+    if _rho_k(g, a, h, top, 2) < 0:
+        raise InternalError(f"no gonality k in [2, {cap}] admits ({g},{r},{d}); expected k=2 to")
+    lo, hi = 2, cap  # invariant: rho_lo >= 0 > rho_hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _rho_k(g, a, h, top, mid) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return KappaResult(lo, KappaBranch.BRUTE_FORCE)
+
+
+def test_kappa_brute_equals_the_bisection_on_every_triple_to_genus_100():
+    for g, r, d in brute_domain(100):
+        assert kappa_brute(g, r, d) == _kappa_by_bisection(g, r, d), (g, r, d)
+
+
+@pytest.mark.parametrize("rho_k, text", [
+    (0, "rho_k >= 0 at the general gonality k=11 although rho(20,3,17) < 0"),
+    (-1, "no gonality k in [2, 11] admits (20,3,17); expected k=2 to"),
+], ids=["0", "-1"])
+def test_kappa_brute_internal_errors(monkeypatch, rho_k, text):
+    # rho_k >= 0 at the general gonality, or rho_2 < 0, contradicts the theory;
+    # the kernel's line l = 0 with A_0 = rho_k makes rho_k that constant at
+    # every k, and each guard raises its own text
+    monkeypatch.setattr(bn_core, "_rho_k_line", lambda g, a, h, top, k: (0, rho_k))
+    with pytest.raises(InternalError) as err:
         kappa_brute(20, 3, 17)
+    assert str(err.value) == text
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
-def test_kappa_brute_logarithmic_at_huge_genus(monkeypatch, r):
-    g = 10**9
-    d = d_max(g, r)
+def _count_kernel_calls(monkeypatch):
     calls = []
-    original = bn_core._rho_k
+    original = bn_core._rho_k_line
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    # every probe goes through the unchecked kernel, so counting it counts them
-    monkeypatch.setattr(bn_core, "_rho_k", counted)
+    # every step goes through the unchecked kernel, so counting it counts them
+    monkeypatch.setattr(bn_core, "_rho_k_line", counted)
+    return calls
+
+
+def test_kappa_brute_takes_at_most_r_prime_plus_one_steps(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    for g, r, d in brute_domain(60):
+        calls.clear()
+        kappa_brute(g, r, d)
+        # the cap's evaluation, then at most r' + 1 steps
+        assert 2 <= len(calls) <= r_prime(g, r, d) + 2, (g, r, d)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_kappa_brute_takes_at_most_r_prime_plus_one_steps_at_huge_genus(monkeypatch, r):
+    g = 10**9
+    d = d_max(g, r)
+    calls = _count_kernel_calls(monkeypatch)
     value = kappa_brute(g, r, d).value
-    assert 1 <= len(calls) <= 2 + general_gonality(g).bit_length()
+    assert 2 <= len(calls) <= r_prime(g, r, d) + 2 == r + 2
     assert value == kappa_closed(g, r, d).value
 
 
@@ -478,11 +537,11 @@ def test_kappa_oracle_equivalence_small():
         assert kappa_closed(g, r, d).value == kappa_brute(g, r, d).value, (g, r, d)
 
 
-@given(st.data())
-@settings(max_examples=300, deadline=None)
-def test_kappa_brute_equals_kappa_at_huge_genus_on_both_routes(data):
-    # kappa_brute's a, h and r', computed once per call, beyond the exhaustive
-    # g <= 60 sweeps; a rank above isqrt(g) is what lets d reach g and beyond
+def _draw_triple_at_huge_genus(data):
+    """(g, r, d) with g up to 10^12, on kappa's closed route or its Serre-dual one.
+
+    A rank above isqrt(g) is what lets d reach g and beyond.
+    """
     g = data.draw(st.integers(5, 10**12), label="g")
     if data.draw(st.booleans(), label="Serre-dual route"):
         low = isqrt(g) + 1
@@ -495,10 +554,25 @@ def test_kappa_brute_equals_kappa_at_huge_genus_on_both_routes(data):
         lo, hi = 2 * r, min(d_max(g, r), g - 1)
         branches = {KappaBranch.CLOSED_FIRST_CASE, KappaBranch.CLOSED_SECOND_CASE}
     assert lo <= hi, (g, r)
-    d = data.draw(st.integers(lo, hi), label="d")
+    return g, r, data.draw(st.integers(lo, hi), label="d"), branches
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_kappa_brute_equals_kappa_at_huge_genus_on_both_routes(data):
+    # kappa_brute's a, h and r', computed once per call, beyond the exhaustive
+    # g <= 60 sweeps
+    g, r, d, branches = _draw_triple_at_huge_genus(data)
     want = kappa(g, r, d)
     assert want.branch in branches
     assert kappa_brute(g, r, d).value == want.value
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_kappa_brute_equals_the_bisection_at_huge_genus_on_both_routes(data):
+    g, r, d, _ = _draw_triple_at_huge_genus(data)
+    assert kappa_brute(g, r, d) == _kappa_by_bisection(g, r, d)
 
 
 def test_kappa_at_least_2_and_at_most_general_gonality():
