@@ -172,7 +172,7 @@ def _maximal_rows(records: Sequence[MaximalLocusRecord]) -> list:
     for rec in records:
         lower, upper = maximal_loci.kappa_bounds(rec.locus.g, rec.locus.r)
         rows.append([rec.locus.r, rec.locus.d, rec.rho, rec.kappa.value,
-                     f"{lower.approx():.4f}", f"{upper.approx():.4f}"])
+                     f"{lower:.4f}", f"{upper:.4f}"])
     return rows
 
 

@@ -1,23 +1,22 @@
 """Exact integer arithmetic for square-root comparisons.
 
 Every decision made by this package reduces to comparing integers or values
-of the form (a + b*sqrt(m)) / q with a, b, m, q integers.  Floating point is
-never consulted for a decision; it appears only in explicitly approximate
-display columns.  Python integers are unbounded, so intermediate products
-such as b*b*m are always exact.
+of the form (a + b*sqrt(m)) / q with a, b, m, q integers and q > 0.  Callers
+clear the denominator q, which never changes a sign, and surd_sign decides
+the sign of what is left.  Floating point is never consulted for a decision;
+it appears only in explicitly approximate display columns.  Python integers
+are unbounded, so intermediate products such as b*b*m are always exact.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
 
 from .errors import DomainError
 
 __all__ = [
     "floor_neg_2sqrt",
     "surd_sign",
-    "Surd",
 ]
 
 
@@ -62,45 +61,3 @@ def surd_sign(a: int, b: int, m: int) -> int:
         return _sign(a * a - b * b * m)
     return _sign(b * b * m - a * a)
 
-
-class _SurdFields(NamedTuple):
-    a: int
-    b: int
-    m: int
-    q: int = 1
-
-
-class Surd(_SurdFields):
-    """The number (a + b*sqrt(m)) / q with integer fields, m >= 0, q >= 1.
-
-    The denominator lets rational values such as g/(r+1) + r be carried
-    exactly; comparisons always happen after clearing it.
-
-    A named tuple whose constructor validates: _make and _replace build
-    through it too, so no Surd skips the checks.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, a: int, b: int, m: int, q: int = 1) -> "Surd":
-        if m < 0:
-            raise DomainError(f"Surd radicand must be >= 0, got {m}")
-        if q < 1:
-            raise DomainError(f"Surd denominator must be >= 1, got {q}")
-        return tuple.__new__(cls, (a, b, m, q))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[int]) -> "Surd":
-        return cls(*iterable)
-
-    def sign(self) -> int:
-        """Exact sign; the (positive) denominator never affects it."""
-        return surd_sign(self.a, self.b, self.m)
-
-    def minus_int(self, k: int) -> "Surd":
-        """The surd minus an integer k, over the same denominator."""
-        return Surd(self.a - k * self.q, self.b, self.m, self.q)
-
-    def approx(self) -> float:
-        """Floating-point approximation, for display columns only."""
-        return (self.a + self.b * math.sqrt(self.m)) / self.q

@@ -30,13 +30,13 @@ the README).  exceptional_genera derives both from the MAXIMAL list.
 from __future__ import annotations
 
 from enum import Enum
-from math import isqrt
+from math import isqrt, sqrt
 from typing import NamedTuple
 
 from . import bn_core
 from .bn_core import BNLocus, KappaResult
 from .errors import DomainError, InternalError
-from .exact_arith import Surd, floor_neg_2sqrt, surd_sign
+from .exact_arith import floor_neg_2sqrt, surd_sign
 
 __all__ = [
     "SRange",
@@ -69,7 +69,8 @@ class SRange(Enum):
 class MaximalLocusRecord(NamedTuple):
     """An expected maximal locus with its rho and kappa, read from its memo.
 
-    kappa_bounds(g, r) gives the locus' kappa bracket.
+    kappa_bounds(g, r) gives the ends of the locus' kappa bracket as floats,
+    for display.
     """
 
     locus: BNLocus
@@ -130,18 +131,19 @@ def kappa_at_dmax(g: int, r: int) -> int:
     return g // (r + 1) + r + 2 + floor_neg_2sqrt(r + 1 - g % (r + 1))
 
 
-def kappa_bounds(g: int, r: int) -> tuple[Surd, Surd]:
-    """Exact bracket  g/(r+1) + r - 2*sqrt(r+1)  <  kappa  <=  g/(r+1) + r.
+def kappa_bounds(g: int, r: int) -> tuple[float, float]:
+    """The bracket  g/(r+1) + r - 2*sqrt(r+1)  <  kappa  <=  g/(r+1) + r, as floats.
 
-    Returned as (exclusive lower, inclusive upper), both over denominator
-    r + 1 so callers can compare against integers via Surd.sign.
+    Returned as (exclusive lower, inclusive upper), for the *_approx display
+    columns only.  Every decision on the bracket is exact: with n = r + 1 and
+    a = g + r*n, n*kappa is compared with a by integers and with
+    a - 2n*sqrt(n) by surd_sign (ineq_holds_all_s, scan_end, selftest).
     """
     if g < 3 or r < 1:
         raise DomainError(f"kappa_bounds requires g >= 3 and r >= 1, got ({g}, {r})")
-    a = g + r * (r + 1)
-    lower = Surd(a, -2 * (r + 1), r + 1, r + 1)
-    upper = Surd(a, 0, 0, r + 1)
-    return lower, upper
+    n = r + 1
+    a = g + r * n
+    return (a - 2 * n * sqrt(n)) / n, a / n
 
 
 def enumerate_expected_maximal(g: int) -> list[MaximalLocusRecord]:
@@ -193,14 +195,15 @@ def genus_threshold_holds(g: int, r: int) -> bool:
     """True iff g >= 4(r+1)^(5/2) + (r+1)^2 + 2(r+1)^(3/2), decided exactly.
 
     With t = g - (r+1)^2 and c = 4(r+1)^2 + 2(r+1) the condition is
-    t - c*sqrt(r+1) >= 0, i.e. t >= 0 and t^2 >= c^2 (r+1).
+    t - c*sqrt(r+1) >= 0, i.e. t >= 0 and t^2 >= c^2 (r+1).  One surd_sign
+    call decides both: c > 0, so the value is negative whenever t <= 0.
     """
     if r < 1:
         raise DomainError(f"genus_threshold_holds requires r >= 1, got {r}")
     n = r + 1
     t = g - n * n
     c = 4 * n * n + 2 * n
-    return t >= 0 and surd_sign(t, -c, n) >= 0
+    return surd_sign(t, -c, n) >= 0
 
 
 def genus_threshold_min(r: int) -> int:

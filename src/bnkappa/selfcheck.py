@@ -110,9 +110,11 @@ def suite_kappa_bounds(gmax: int) -> SuiteResult:
     for g in range(3, gmax + 1):
         for r in range(1, maximal_loci.r_max_expected(g) + 1):
             k = maximal_loci.kappa_at_dmax(g, r)
-            lower, upper = maximal_loci.kappa_bounds(g, r)
+            # g/n + r - 2*sqrt(n) < k <= g/n + r, times n = r + 1
+            n = r + 1
+            t = g + r * n - k * n
             res.check(
-                lower.minus_int(k).sign() < 0 <= upper.minus_int(k).sign(),
+                surd_sign(t, -2 * n, n) < 0 <= t,
                 f"kappa {k} outside bounds at ({g},{r})",
             )
     return res

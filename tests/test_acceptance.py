@@ -12,6 +12,7 @@ import time
 from bnkappa.bn_core import BNLocus, kappa, kappa_brute, kappa_closed, rho
 from bnkappa.certificates import StatusKind, Rule, genus_report, load_ledger, pair_status
 from bnkappa.cli import main
+from bnkappa.exact_arith import surd_sign
 from bnkappa.maximal_loci import (
     SRange,
     compute_G,
@@ -21,7 +22,6 @@ from bnkappa.maximal_loci import (
     genus_threshold_holds,
     ineq_holds_all_s,
     kappa_at_dmax,
-    kappa_bounds,
     r_max_expected,
     scan_end,
 )
@@ -123,8 +123,9 @@ def test_criterion_08_bounds_and_threshold_soundness():
         rmax = r_max_expected(g)
         for r in range(1, rmax + 1):
             k = kappa_at_dmax(g, r)
-            lower, upper = kappa_bounds(g, r)
-            assert lower.minus_int(k).sign() < 0 <= upper.minus_int(k).sign(), (g, r)
+            n = r + 1
+            t = g + r * n - k * n  # n times (g/n + r - kappa)
+            assert surd_sign(t, -2 * n, n) < 0 <= t, (g, r)
             sandwiched += 1
             for delta in range(1, rmax - r + 1):
                 if f_criterion(g, r, delta):

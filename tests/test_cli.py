@@ -295,8 +295,8 @@ def test_maximal_json_round_trips_library_values(capsys):
         assert row["rho"] == rec.rho
         assert row["kappa"] == rec.kappa.value
         lower, upper = maximal_loci.kappa_bounds(21, rec.locus.r)
-        assert row["lower_bound_approx"] == f"{lower.approx():.4f}"
-        assert row["upper_bound_approx"] == f"{upper.approx():.4f}"
+        assert row["lower_bound_approx"] == f"{lower:.4f}"
+        assert row["upper_bound_approx"] == f"{upper:.4f}"
 
 
 def test_maximal_domain_error(capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bnkappa.bn_core import BNLocus, kappa, kappa_brute, rho
 from bnkappa import maximal_loci
 from bnkappa.errors import DomainError, InternalError
-from bnkappa.exact_arith import floor_neg_2sqrt
+from bnkappa.exact_arith import floor_neg_2sqrt, surd_sign
 from bnkappa.maximal_loci import (
     SRange,
     compute_G,
@@ -182,21 +182,37 @@ def test_kappa_at_dmax_agrees_with_kappa_at_huge_genus(data):
 
 
 def test_kappa_bounds_frozen():
-    lower, upper = kappa_bounds(20, 2)
-    assert (lower.a, lower.b, lower.m, lower.q) == (26, -6, 3, 3)
-    assert (upper.a, upper.b, upper.m, upper.q) == (26, 0, 0, 3)
-    assert lower.approx() == pytest.approx(5.2026, abs=1e-4)
-    assert upper.approx() == pytest.approx(26 / 3)
+    assert kappa_bounds(20, 2) == ((26 - 6 * math.sqrt(3)) / 3, 26 / 3)
+    lower, _ = kappa_bounds(20, 2)
+    assert lower == pytest.approx(5.2026, abs=1e-4)
+
+
+def _surd_display_bounds(g, r):
+    # the oracle: (a + b*sqrt(m)) / q for the bracket's ends, written as the
+    # former surd type evaluated them, with (b, m) = (-2n, n) and (0, 0)
+    n = r + 1
+    a = g + r * n
+    return (a + (-2 * n) * math.sqrt(n)) / n, (a + 0 * math.sqrt(0)) / n
+
+
+def test_kappa_bounds_display_floats_match_the_surd_evaluation_bit_for_bit():
+    pairs = [(g, r) for g in range(3, 2001) for r in range(1, r_max_expected(g) + 1)]
+    top = 10**10
+    pairs += [(top, 1), (top, 2), (top, r_max_expected(top))]
+    for g, r in pairs:
+        got = [x.hex() for x in kappa_bounds(g, r)]
+        assert got == [x.hex() for x in _surd_display_bounds(g, r)], (g, r)
 
 
 def test_kappa_bounds_sandwich_kappa_at_dmax():
-    # exclusive below, inclusive above, across every expected maximal locus
+    # exclusive below, inclusive above, across every expected maximal locus:
+    # times n = r + 1, t - 2n*sqrt(n) < 0 <= t with t = g + r*n - n*kappa
     for g in range(3, 2000, 7):
         for r in range(1, r_max_expected(g) + 1):
-            k = kappa_at_dmax(g, r)
-            lower, upper = kappa_bounds(g, r)
-            assert lower.minus_int(k).sign() < 0, (g, r)
-            assert upper.minus_int(k).sign() >= 0, (g, r)
+            n = r + 1
+            t = g + r * n - kappa_at_dmax(g, r) * n
+            assert surd_sign(t, -2 * n, n) < 0, (g, r)
+            assert t >= 0, (g, r)
 
 
 def test_enumerate_expected_maximal_frozen():

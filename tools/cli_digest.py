@@ -11,6 +11,14 @@ runs the script in a `git archive` copy of each and diffs the output:
     (cd change && PYTHONPATH=src python tools/cli_digest.py) > change.txt
     diff parent.txt change.txt
 
+The expected lines are committed as tools/cli_digest.txt, and CI checks
+every change against them:
+
+    PYTHONPATH=src python tools/cli_digest.py | diff tools/cli_digest.txt -
+
+A change that alters CLI bytes on purpose updates that file, and its entry
+in CHANGES.md names the changed families and why.
+
 It takes no flags and needs only the standard library.  It works from the
 root of the tree it lives in, so the ledger path in the corpus, and with it
 every output that echoes that path, is the same in both copies.  The whole
