@@ -5,7 +5,8 @@ The package computes, entirely in exact integer arithmetic:
 * the Brill-Noether number rho and its k-gonal refinement,
 * the gonality invariant kappa of a locus with rho < 0, by closed formula
   and by brute force,
-* the expected maximal loci at each genus, with exact kappa bounds,
+* the expected maximal loci at each genus, and the bracket their kappa
+  lies in (its ends are floats, for display only),
 * genus scans for the rank-comparison inequality (the G(r) table and the
   exceptional genera below it), and
 * non-containment certificates between loci, assembled into per-genus

@@ -182,8 +182,8 @@ def test_kappa_at_dmax_agrees_with_kappa_at_huge_genus(data):
 
 
 def test_kappa_bounds_frozen():
-    assert kappa_bounds(20, 2) == ((26 - 6 * math.sqrt(3)) / 3, 26 / 3)
-    lower, _ = kappa_bounds(20, 2)
+    lower, upper = kappa_bounds(20, 2)
+    assert (lower, upper) == ((26 - 6 * math.sqrt(3)) / 3, 26 / 3)
     assert lower == pytest.approx(5.2026, abs=1e-4)
 
 
