@@ -68,10 +68,15 @@ def test_surd_sign_frozen_cases():
     assert surd_sign(7, 0, 11) == 1
     assert surd_sign(0, -3, 2) == -1
     assert surd_sign(5, 1, 0) == 1
-    # 8*sqrt(4) = 16 exactly: a above it, at it and below it
-    assert surd_sign(32, -8, 4) == 1
-    assert surd_sign(16, -8, 4) == 0  # exactly zero
-    assert surd_sign(12, -8, 4) == -1
+
+
+def test_surd_sign_and_minus_int():
+    # (32 - 8*sqrt(4))/4 = 4; subtracting k shifts the rational part by 4k
+    a, b, m, d = 32, -8, 4, 4
+    assert surd_sign(a, b, m) == 1
+    assert surd_sign(a - 4 * d, b, m) == 0
+    assert surd_sign(a - 5 * d, b, m) == -1
+    assert (a + b * m**0.5) / d == pytest.approx(4.0)
 
 
 def test_surd_sign_rejects_negative_radicand():
